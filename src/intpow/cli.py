@@ -21,7 +21,7 @@ from .errors import (
     RepresentationMismatchError,
     VertexSetMismatchError,
 )
-from .extension import extend_representation, iterate_powers, save_trace
+from .extension import _first_difference, extend_representation, iterate_powers, save_trace
 from .graphs import Graph, format_graph, graph_power, graph_power_oracle, load_graph, save_graph
 from .intervals import (
     endpoint_orders,
@@ -113,11 +113,8 @@ def cmd_verify(args):
         print("GRAPH: OK")
     else:
         print("GRAPH: MISMATCH")
-        missing = expected.edge_set - actual.edge_set
-        extra = actual.edge_set - expected.edge_set
-        u, v = min(missing | extra)
-        kind = "MISSING_EDGE" if (u, v) in missing else "EXTRA_EDGE"
-        print(f"{kind}: {u + 1} {v + 1}")
+        (u, v), missing = _first_difference(expected, actual)
+        print(f"{'MISSING_EDGE' if missing else 'EXTRA_EDGE'}: {u + 1} {v + 1}")
     if args.against:
         other = load_representation(args.against)
         left_a, right_a = endpoint_orders(r)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _records
 from .errors import (
     InvalidKError,
     ParseError,
@@ -94,11 +95,15 @@ def extend_representation(g, k, r):
     return extended, trace
 
 
+def _first_difference(expected, actual):
+    """The smallest edge in only one of two graphs, and whether actual lacks it."""
+    pair = min(expected.edge_set ^ actual.edge_set)
+    return pair, pair in expected.edge_set
+
+
 def _mismatch_detail(expected, actual, power):
-    missing = expected.edge_set - actual.edge_set
-    extra = actual.edge_set - expected.edge_set
-    u, v = min(missing | extra)
-    if (u, v) in missing:
+    (u, v), missing = _first_difference(expected, actual)
+    if missing:
         message = (
             f"representation does not realize the required power: vertices "
             f"{u + 1} and {v + 1} are within distance {power} but their "
@@ -133,48 +138,24 @@ def iterate_powers(g, r, k_max):
 def format_trace(trace):
     """Render a trace: header "k scale", then lines "x witness new_right"
     with "-" for a missing witness.  Vertex ids are 1-based."""
-    lines = [f"{trace.k} {trace.scale}"]
-    for x, right in enumerate(trace.new_right):
-        w = trace.witness[x]
-        label = "-" if w is None else str(w + 1)
-        lines.append(f"{x + 1} {label} {right}")
-    return "\n".join(lines) + "\n"
+    witness = ["-" if w is None else w + 1 for w in trace.witness]
+    rows = zip(range(1, len(witness) + 1), witness, trace.new_right)
+    return _records.render([(trace.k, trace.scale), *rows])
 
 
 def parse_trace(text, source="<trace>"):
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError(source, 1, "missing header line")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(source, 1, "header must be two integers: k scale")
-    try:
-        k, scale = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(source, 1, "header must be two integers: k scale") from None
+    lines, (k, scale) = _records.read(text, source, 2, "header must be two integers: k scale")
+    if k < 2:
+        raise ParseError(source, 1, f"trace requires k >= 2, got {k}")
     n = len(lines) - 1
     witness = [None] * n
     new_right = [None] * n
-    seen = set()
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(source, i, "trace line must be: x witness new_right")
-        try:
-            x = int(parts[0])
-            w = None if parts[1] == "-" else int(parts[1])
-            right = int(parts[2])
-        except ValueError:
-            raise ParseError(source, i, "trace line must be: x witness new_right") from None
-        if not 1 <= x <= n:
-            raise ParseError(source, i, f"vertex {x} out of range 1..{n}")
-        if x in seen:
-            raise ParseError(source, i, f"vertex {x} listed twice")
+    usage = "trace line must be: x witness new_right"
+    for i, (x, w, right) in _records.records(lines, source, 3, usage, ids=n, dash=1):
         if w is not None and not 1 <= w <= n:
-            raise ParseError(source, i, f"witness {w} out of range 1..{n}")
-        seen.add(x)
+            raise _records.out_of_range(source, i, "witness", w, n)
+        if w == x:
+            raise ParseError(source, i, f"vertex {x} is its own witness")
         witness[x - 1] = None if w is None else w - 1
         new_right[x - 1] = right
     return ExtensionTrace(
@@ -183,10 +164,8 @@ def parse_trace(text, source="<trace>"):
 
 
 def load_trace(path):
-    with open(path, encoding="utf-8") as handle:
-        return parse_trace(handle.read(), source=str(path))
+    return _records.load(path, parse_trace)
 
 
 def save_trace(trace, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_trace(trace))
+    _records.save(path, format_trace(trace))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import _records
 from .errors import InvalidKError, InvalidVertexError, ParseError
 
 # Marker for vertices not reachable from the BFS source.
@@ -183,32 +184,11 @@ def parse_graph(text, source="<graph>"):
     Vertex ids in the file are 1-based with u < v; loops, duplicates and
     out-of-range ids are rejected with the offending line number.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError(source, 1, "missing header line")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(source, 1, "header must be two integers: n m")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(source, 1, "header must be two integers: n m") from None
-    if n < 0 or m < 0:
-        raise ParseError(source, 1, "vertex and edge counts must be nonnegative")
-    if len(lines) - 1 != m:
-        raise ParseError(source, 1, f"expected {m} edge lines, found {len(lines) - 1}")
+    lines, (n, _) = _records.read(text, source, 2, "header must be two integers: n m",
+                                  "vertex and edge counts must be nonnegative", "edge lines")
     edges = []
     seen = set()
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(source, i, "edge line must be two integers: u v")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(source, i, "edge line must be two integers: u v") from None
+    for i, (u, v) in _records.records(lines, source, 2, "edge line must be two integers: u v"):
         if u == v:
             raise ParseError(source, i, f"self-loop at vertex {u}")
         if not (1 <= u < v <= n):
@@ -222,17 +202,12 @@ def parse_graph(text, source="<graph>"):
 
 def format_graph(g):
     """Render a graph in the file format, edges sorted, vertex ids 1-based."""
-    lines = [f"{g.n} {g.m}"]
-    for u, v in sorted(g.edge_set):
-        lines.append(f"{u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    return _records.render([(g.n, g.m)] + [(u + 1, v + 1) for u, v in sorted(g.edge_set)])
 
 
 def load_graph(path):
-    with open(path, encoding="utf-8") as handle:
-        return parse_graph(handle.read(), source=str(path))
+    return _records.load(path, parse_graph)
 
 
 def save_graph(g, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_graph(g))
+    _records.save(path, format_graph(g))

@@ -3,6 +3,7 @@ the proper / unit transformations."""
 
 from __future__ import annotations
 
+from . import _records
 from .errors import (
     CoordinateOverflowError,
     InfeasibleConstraintsError,
@@ -281,32 +282,11 @@ def parse_representation(text, source="<representation>"):
 
     Vertex ids are 1-based and each must appear exactly once.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError(source, 1, "missing header line")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ParseError(source, 1, "header must be a single integer: n") from None
-    if n < 0:
-        raise ParseError(source, 1, "vertex count must be nonnegative")
-    if len(lines) - 1 != n:
-        raise ParseError(source, 1, f"expected {n} interval lines, found {len(lines) - 1}")
+    lines, (n,) = _records.read(text, source, 1, "header must be a single integer: n",
+                                "vertex count must be nonnegative", "interval lines")
     rows = [None] * n
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(source, i, "interval line must be three integers: v l r")
-        try:
-            v, left, right = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(source, i, "interval line must be three integers: v l r") from None
-        if not 1 <= v <= n:
-            raise ParseError(source, i, f"vertex {v} out of range 1..{n}")
-        if rows[v - 1] is not None:
-            raise ParseError(source, i, f"vertex {v} listed twice")
+    usage = "interval line must be three integers: v l r"
+    for i, (v, left, right) in _records.records(lines, source, 3, usage, ids=n):
         if left > right:
             raise ParseError(source, i, f"left endpoint {left} exceeds right {right}")
         if left < INT64_MIN or right > INT64_MAX:
@@ -317,17 +297,12 @@ def parse_representation(text, source="<representation>"):
 
 def format_representation(r):
     """Render a representation, vertices ascending, ids 1-based."""
-    lines = [str(r.n)]
-    for v, (left, right) in enumerate(r.intervals):
-        lines.append(f"{v + 1} {left} {right}")
-    return "\n".join(lines) + "\n"
+    return _records.render([(r.n,)] + [(v + 1, *row) for v, row in enumerate(r.intervals)])
 
 
 def load_representation(path):
-    with open(path, encoding="utf-8") as handle:
-        return parse_representation(handle.read(), source=str(path))
+    return _records.load(path, parse_representation)
 
 
 def save_representation(r, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_representation(r))
+    _records.save(path, format_representation(r))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import _records
 from .errors import ParseError, VertexSetMismatchError
 from .graphs import Graph
 from .intervals import WeakOrder
@@ -260,32 +261,11 @@ def _realizes(c0, c1, adjacent, n):
 
 def parse_trapezoid(text, source="<trapezoid>"):
     """Parse the trapezoid format: a line "n", then n lines "v l0 r0 l1 r1"."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError(source, 1, "missing header line")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ParseError(source, 1, "header must be a single integer: n") from None
-    if n < 0:
-        raise ParseError(source, 1, "vertex count must be nonnegative")
-    if len(lines) - 1 != n:
-        raise ParseError(source, 1, f"expected {n} rows, found {len(lines) - 1}")
+    lines, (n,) = _records.read(text, source, 1, "header must be a single integer: n",
+                                "vertex count must be nonnegative", "rows")
     rows = [None] * n
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 5:
-            raise ParseError(source, i, "row must be five integers: v l0 r0 l1 r1")
-        try:
-            v, l0, r0, l1, r1 = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(source, i, "row must be five integers: v l0 r0 l1 r1") from None
-        if not 1 <= v <= n:
-            raise ParseError(source, i, f"vertex {v} out of range 1..{n}")
-        if rows[v - 1] is not None:
-            raise ParseError(source, i, f"vertex {v} listed twice")
+    usage = "row must be five integers: v l0 r0 l1 r1"
+    for i, (v, l0, r0, l1, r1) in _records.records(lines, source, 5, usage, ids=n):
         if l0 > r0 or l1 > r1:
             raise ParseError(source, i, "interval endpoints out of order")
         rows[v - 1] = (l0, r0, l1, r1)
@@ -293,20 +273,15 @@ def parse_trapezoid(text, source="<trapezoid>"):
 
 
 def format_trapezoid(t):
-    lines = [str(t.n)]
-    for v, (l0, r0, l1, r1) in enumerate(t.rows):
-        lines.append(f"{v + 1} {l0} {r0} {l1} {r1}")
-    return "\n".join(lines) + "\n"
+    return _records.render([(t.n,)] + [(v + 1, *row) for v, row in enumerate(t.rows)])
 
 
 def load_trapezoid(path):
-    with open(path, encoding="utf-8") as handle:
-        return parse_trapezoid(handle.read(), source=str(path))
+    return _records.load(path, parse_trapezoid)
 
 
 def save_trapezoid(t, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_trapezoid(t))
+    _records.save(path, format_trapezoid(t))
 
 
 _ORDER_LABELS = ("L0", "R0", "L1", "R1")
@@ -322,9 +297,7 @@ def parse_orders(text, source="<orders>"):
 
     Each line lists every vertex exactly once, 1-based, smallest first.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = _records.content_lines(text)
     if len(lines) != 4:
         raise ParseError(source, max(1, len(lines)), "expected exactly four order lines")
     orders = []
@@ -348,18 +321,16 @@ def parse_orders(text, source="<orders>"):
 
 
 def format_orders(orders):
-    lines = []
-    for label, order in zip(_ORDER_LABELS, orders):
-        sequence = " ".join(str(v + 1) for v in order.strict_sequence())
-        lines.append(f"{label}: {sequence}")
-    return "\n".join(lines) + "\n"
+    # The order is one field, so an empty order still renders as "L0: ".
+    return _records.render(
+        (f"{label}:", " ".join(str(v + 1) for v in order.strict_sequence()))
+        for label, order in zip(_ORDER_LABELS, orders)
+    )
 
 
 def load_orders(path):
-    with open(path, encoding="utf-8") as handle:
-        return parse_orders(handle.read(), source=str(path))
+    return _records.load(path, parse_orders)
 
 
 def save_orders(orders, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_orders(orders))
+    _records.save(path, format_orders(orders))

@@ -80,6 +80,23 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+def test_non_utf8_representation_is_a_parse_error(tmp_path, capsys):
+    rep = tmp_path / "bad.rep"
+    rep.write_bytes(b"2\n1 0 2\n2 \xe9 3\n")
+    code, stdout, stderr = run(capsys, "orders", str(rep))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {rep}:3: byte 0xe9 is not valid UTF-8\n"
+
+
+def test_non_utf8_orders_is_a_parse_error(tmp_path, capsys):
+    orders = tmp_path / "bad.orders"
+    orders.write_bytes(b"\xff\xfe" + P5_ORDERS_TEXT.encode("utf-16-le"))
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    code, stdout, stderr = run(capsys, "trapezoid-search", str(orders), graph)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {orders}:1: byte 0xff is not valid UTF-8\n"
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
