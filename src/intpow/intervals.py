@@ -3,6 +3,8 @@ the proper / unit transformations."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from . import _records
 from .errors import (
     CoordinateOverflowError,
@@ -135,14 +137,17 @@ class WeakOrder:
 
 
 def intersection_graph(r):
-    """Graph with an edge for every pair of intersecting intervals."""
+    """Graph with an edge for every pair of intersecting intervals.
+
+    A sweep in O(n log n + m): with the intervals sorted by (left, right),
+    u meets exactly the later ones whose left endpoint is at most its right.
+    """
+    order = sorted(range(r.n), key=r.intervals.__getitem__)
+    lefts = [r.intervals[u][0] for u in order]
     edges = []
-    for u in range(r.n):
-        lu, ru = r.intervals[u]
-        for v in range(u + 1, r.n):
-            lv, rv = r.intervals[v]
-            if max(lu, lv) <= min(ru, rv):
-                edges.append((u, v))
+    for i, u in enumerate(order):
+        end = bisect_right(lefts, r.intervals[u][1], i + 1)
+        edges.extend((u, v) for v in order[i + 1:end])
     return Graph(r.n, edges)
 
 

@@ -74,6 +74,15 @@ def test_parse_error_reports_file_and_line(tmp_path, capsys):
     assert "bad.graph:2:" in stderr
 
 
+def test_huge_vertex_count_is_a_parse_error(tmp_path, capsys):
+    graph = write(tmp_path / "huge.graph", "9223372036854775807 0\n")
+    code, stdout, stderr = run(capsys, "power", graph, "2")
+    assert code == 2 and stdout == ""
+    assert stderr == (
+        f"error: {graph}:1: vertex count 9223372036854775807 exceeds the limit 1048576\n"
+    )
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, stderr = run(capsys, "power", str(tmp_path / "absent.graph"), "1")
     assert code == 2

@@ -17,7 +17,14 @@ from intpow import (
     graph_power_oracle,
     parse_graph,
 )
-from testutil import floyd_warshall, graphs, random_graph, relabel_graph
+from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE
+from testutil import (
+    floyd_warshall,
+    graphs,
+    random_block_graph,
+    random_graph,
+    relabel_graph,
+)
 
 P5 = Graph.path(5)
 
@@ -105,6 +112,29 @@ def test_both_power_routes_match_floyd_warshall():
             )
             assert graph_power(g, k).edge_set == expected
             assert graph_power_oracle(g, k).edge_set == expected
+
+
+def test_both_bfs_paths_match_floyd_warshall():
+    # n = 20..60 with edge probabilities on both sides of the bitset cut,
+    # split into blocks with isolated vertices, so both BFS paths meet
+    # unreachable vertices and isolated sources.
+    rng = random.Random(23)
+    paths_hit = set()
+    for n, p, blocks, isolated in [
+        (20, 0.1, 1, 0), (20, 0.95, 1, 0), (30, 0.3, 2, 3), (30, 0.95, 2, 2),
+        (40, 0.2, 1, 0), (40, 0.6, 1, 1), (50, 0.1, 3, 5), (50, 0.9, 2, 4),
+        (60, 0.05, 1, 0), (60, 0.3, 1, 0), (60, 0.9, 2, 6), (60, 0.99, 1, 1),
+    ]:
+        g = random_block_graph(rng, n, p, blocks, isolated)
+        dense = 2 * g.m >= BITSET_MIN_AVERAGE_DEGREE * g.n
+        paths_hit.add(dense)
+        dist = floyd_warshall(g)
+        for source in range(n):
+            assert bfs_distances(g, source) == dist[source]
+        assert (g._masks is not None) == dense
+        for k in (1, 2, 3, 4):
+            assert graph_power(g, k) == graph_power_oracle(g, k)
+    assert paths_hit == {False, True}
 
 
 def test_components_p5():

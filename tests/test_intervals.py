@@ -24,6 +24,7 @@ from intpow import (
     same_orders,
 )
 from testutil import (
+    intersection_graph_pairs,
     random_proper_representation,
     random_representation,
     representations,
@@ -58,6 +59,31 @@ def test_intersection_touching_counts():
 def test_intersection_points_and_twins():
     r = rep((1, 1), (1, 1), (2, 3))
     assert intersection_graph(r).edge_set == frozenset({(0, 1)})
+
+
+@pytest.mark.parametrize(
+    "rows, edges",
+    [
+        ([], set()),
+        ([(3, 5)], set()),
+        ([(4, 6), (0, 4)], {(0, 1)}),  # l_v == r_u, listed out of order
+        ([(0, 2), (2, 2), (2, 2), (3, 3)], {(0, 1), (0, 2), (1, 2)}),  # points
+        ([(1, 4), (1, 4), (1, 4)], {(0, 1), (0, 2), (1, 2)}),  # identical
+        ([(0, 10), (2, 3), (4, 9), (5, 6), (11, 12)],  # nested
+         {(0, 1), (0, 2), (0, 3), (2, 3)}),
+        ([(5, 6), (0, 1), (2, 3), (-4, -2)], set()),  # disjoint
+    ],
+)
+def test_intersection_sweep_rows(rows, edges):
+    r = rep(*rows)
+    assert intersection_graph(r).edge_set == frozenset(edges)
+    assert intersection_graph(r) == intersection_graph_pairs(r)
+
+
+@settings(max_examples=300)
+@given(representations(max_n=12, coord_max=15))
+def test_intersection_sweep_matches_pair_tests(r):
+    assert intersection_graph(r) == intersection_graph_pairs(r)
 
 
 def test_endpoint_orders_strict():

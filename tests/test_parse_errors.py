@@ -110,6 +110,13 @@ GOLDEN = [
     (parse_orders, GOOD_ORDERS.replace("L0: 1 2", "L0: 1 3"), 1,
      "order must list each vertex 1..2 exactly once"),
     (parse_orders, "L0: 1 2\nR0: 1 x\nL1: 1\nR1: 1 2\n", 2, "order entries must be integers"),
+    # Case ids carry the row index, so new rows go here at the end to keep
+    # the ids of the rows above stable.
+    # graph: vertex-count limit
+    (parse_graph, "9223372036854775807 0\n", 1,
+     "vertex count 9223372036854775807 exceeds the limit 1048576"),
+    (parse_graph, "1048577 1\n1 2\n", 1, "vertex count 1048577 exceeds the limit 1048576"),
+    (parse_graph, "1048577 0\n1 2\n", 1, "expected 0 edge lines, found 1"),
 ]
 
 

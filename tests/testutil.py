@@ -97,6 +97,32 @@ def random_strict_trapezoid(rng, max_n=8):
     )
 
 
+def random_block_graph(rng, n, edge_prob, blocks=1, isolated=0):
+    """Random graph on n vertices whose edges stay inside `blocks` random
+    vertex groups, so it is disconnected when blocks > 1; the last
+    `isolated` vertices get no edges at all."""
+    part = [rng.randrange(blocks) for _ in range(n - isolated)]
+    edges = [
+        (u, v)
+        for u in range(n - isolated)
+        for v in range(u + 1, n - isolated)
+        if part[u] == part[v] and rng.random() < edge_prob
+    ]
+    return Graph(n, edges)
+
+
+def intersection_graph_pairs(r):
+    """Pair-test oracle for intersection_graph: every pair in O(n^2)."""
+    edges = []
+    for u in range(r.n):
+        lu, ru = r.intervals[u]
+        for v in range(u + 1, r.n):
+            lv, rv = r.intervals[v]
+            if max(lu, lv) <= min(ru, rv):
+                edges.append((u, v))
+    return Graph(r.n, edges)
+
+
 def relabel_graph(g, permutation):
     """permutation[v] is the new id of v."""
     return Graph(g.n, [(permutation[u], permutation[v]) for u, v in g.edge_set])
