@@ -63,15 +63,19 @@ def extend_representation(g, k, r):
     n = g.n
     scale = n + 1
     witness = [None] * n
+    # Largest left endpoint first, smallest id first among equal ones: the
+    # first vertex exactly k away in this list, if it starts right of x, is
+    # the witness of x.
+    lefts = [left for left, _ in base.intervals]
+    by_left = sorted(range(n), key=lambda y: (-lefts[y], y))
     for x in range(n):
         dist = bfs_distances(g, x)
-        start = base.left(x)
-        best = None
-        for y in range(n):
-            if dist[y] == k and base.left(y) > start:
-                if best is None or base.left(y) > base.left(best):
-                    best = y
-        witness[x] = best
+        for y in by_left:
+            if lefts[y] <= lefts[x]:
+                break
+            if dist[y] == k:
+                witness[x] = y
+                break
 
     new_right = [scale * base.right(x) for x in range(n)]
     gaps = {}

@@ -4,6 +4,7 @@ the proper / unit transformations."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import inf
 
 from . import _records
 from .errors import (
@@ -208,18 +209,35 @@ def is_proper(r):
 def find_containment_pair(r):
     """First pair (u, v) whose interval of u properly contains that of v.
 
-    Returns None when no proper containment exists, which happens exactly
-    when the representation is proper.
+    u is the smallest id that properly contains any interval and v the
+    smallest id it contains.  Returns None when no proper containment
+    exists, which happens exactly when the representation is proper.
+    O(n log n): u contains some v iff an interval with a greater left
+    endpoint ends no later, or one with the same left endpoint ends
+    earlier, so one minimum of rights per left value and their suffix
+    minima find u, and one pass finds v.
     """
-    for u in range(r.n):
-        lu, ru = r.intervals[u]
-        for v in range(r.n):
-            if u == v:
-                continue
-            lv, rv = r.intervals[v]
-            if lu <= lv and rv <= ru and (lu, ru) != (lv, rv):
-                return (u, v)
-    return None
+    if is_proper(r):
+        return None
+    nearest = {}  # left -> smallest right among the intervals opening there
+    for left, right in r.intervals:
+        if right < nearest.get(left, inf):
+            nearest[left] = right
+    beyond = {}  # left -> smallest right among the intervals opening later
+    least = inf
+    for left in sorted(nearest, reverse=True):
+        beyond[left] = least
+        least = min(least, nearest[left])
+    u = next(
+        u for u, (left, right) in enumerate(r.intervals)
+        if beyond[left] <= right or nearest[left] < right
+    )
+    lu, ru = r.intervals[u]
+    v = next(
+        v for v, (lv, rv) in enumerate(r.intervals)
+        if lu <= lv and rv <= ru and (lv, rv) != (lu, ru)
+    )
+    return (u, v)
 
 
 def proper_to_unit(r):
@@ -232,36 +250,48 @@ def proper_to_unit(r):
       f(v) - f(u) <= n*n       if u, v adjacent
       f(v) - f(u) >= n*n + 1   otherwise
 
-    with tied vertices forced equal.  The system is solved by single-source
-    relaxation over the constraint edges (Bellman-Ford with a virtual
-    source), which also detects infeasibility as a negative cycle; the
-    distances are negated and shifted so that min f = 0, making the output
-    canonical.
+    with tied vertices forced equal.  In a proper representation the later
+    neighbours of u are exactly the vertices between u and its first later
+    non-neighbour in the order sorted by (left, right), so three kinds of
+    constraint imply all the others and are kept, O(n) in total:
+
+      f(next) - f(u) >= 1 for consecutive u, next (= 0 both ways for twins)
+      f(last) - f(u) <= n*n for the last later neighbour of u
+      f(first) - f(u) >= n*n + 1 for the first later non-neighbour of u
+
+    The first kind makes f increase along the order, which carries each
+    bound from last / first to every vertex on the near side of it.  The
+    feasible set is unchanged, so the solution is too.  The system is
+    solved by single-source relaxation over the constraint edges
+    (Bellman-Ford with a virtual source), which also detects infeasibility
+    as a negative cycle; the distances are negated and shifted so that
+    min f = 0, making the output canonical.  Each pass relaxes the forward
+    edges in ascending order, then the backward ones in descending order,
+    so a few passes converge and the whole costs O(n log n) plus O(n) per
+    pass.
     """
     witness = find_containment_pair(r)
     if witness is not None:
         raise NotProperError(witness)
     n = r.n
     unit = n * n
-    g = intersection_graph(r)
-    left_order, _ = endpoint_orders(r)
-    ranks = left_order.ranks
+    order = sorted(range(n), key=r.intervals.__getitem__)
+    lefts = [r.intervals[v][0] for v in order]
     # Relaxation edges (x, y, w) enforce dist[y] <= dist[x] + w; with
     # f = -dist this is f(y) >= f(x) - w, the lower-bound form above.
-    edges = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if ranks[u] < ranks[v]:
-                edges.append((u, v, -1))
-                if g.has_edge(u, v):
-                    edges.append((v, u, unit))
-                else:
-                    edges.append((u, v, -(unit + 1)))
-            elif ranks[u] == ranks[v] and u < v:
-                edges.append((u, v, 0))
-                edges.append((v, u, 0))
+    forward, backward = [], []
+    for i, u in enumerate(order):
+        end = bisect_right(lefts, r.intervals[u][1], i + 1)
+        if i + 1 < n:
+            twin = lefts[i + 1] == lefts[i]
+            forward.append((u, order[i + 1], 0 if twin else -1))
+            if twin:
+                backward.append((order[i + 1], u, 0))
+        if end < n:
+            forward.append((u, order[end], -(unit + 1)))
+        if end > i + 1:
+            backward.append((order[end - 1], u, unit))
+    edges = forward + backward[::-1]
     dist = [0] * n
     for _ in range(n):
         changed = False

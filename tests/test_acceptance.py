@@ -13,6 +13,7 @@ from intpow import (
     IntervalRepresentation,
     endpoint_orders,
     extend_representation,
+    find_containment_pair,
     format_representation,
     graph_power,
     graph_power_oracle,
@@ -30,6 +31,7 @@ from intpow.cli import run_p5_demo
 from testutil import (
     random_connected_representation,
     random_graph,
+    random_proper_chain,
     random_proper_representation,
     random_representation,
 )
@@ -158,3 +160,30 @@ def test_acceptance_6_golden_instances():
         assert out.intervals == ((0, 16), (5, 26), (15, 30), (25, 35))
         assert trace.scale == 5
         assert format_representation(out) == "4\n1 0 16\n2 5 26\n3 15 30\n4 25 35\n"
+
+
+def test_acceptance_7_unit_conversion_scales_linearly():
+    with criterion(7, "unit conversion at n=2000 stays fast"):
+        r = random_proper_chain(random.Random(707), 2000)
+        started = time.perf_counter()
+        unit = proper_to_unit(r)
+        elapsed = time.perf_counter() - started
+        n = r.n
+        assert all(right - left == n * n for left, right in unit.intervals)
+        assert intersection_graph(unit) == intersection_graph(r)
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_acceptance_8_containment_check_scales_linearly():
+    # n=8000, not 2000: a pair scan short-circuits fast enough to finish
+    # n=2000 in about 0.3 s, so only the larger size tells the two apart.
+    with criterion(8, "containment check at n=8000 stays fast"):
+        r = random_proper_chain(random.Random(808), 8000)
+        rows = list(r.intervals)
+        rows[-2] = (rows[-2][0], rows[-1][1] + 1)  # now contains the last one
+        improper = IntervalRepresentation(rows)
+        started = time.perf_counter()
+        assert find_containment_pair(r) is None
+        assert find_containment_pair(improper) == (7998, 7999)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -130,6 +130,30 @@ def test_trace_witness_distance_and_gap_placement():
             current = rep_out
 
 
+def test_witness_ties_pick_the_smallest_id():
+    # Vertices 2 and 3 are twins, both two steps right of vertex 0.
+    r = IntervalRepresentation([(0, 2), (1, 4), (3, 6), (3, 6)])
+    _, trace = extend_representation(intersection_graph(r), 2, r)
+    assert trace.witness == (2, None, None, None)
+
+
+def test_witness_is_the_rightmost_then_smallest_id():
+    rng = random.Random(43)
+    for _ in range(60):
+        r = random_connected_representation(rng, max_n=14, coord_max=12)
+        g = intersection_graph(r)
+        _, trace = extend_representation(g, 2, r)
+        base = normalize(r)
+        for x in range(g.n):
+            dist = bfs_distances(g, x)
+            candidates = [
+                (-base.left(y), y) for y in range(g.n)
+                if dist[y] == 2 and base.left(y) > base.left(x)
+            ]
+            expected = min(candidates)[1] if candidates else None
+            assert trace.witness[x] == expected
+
+
 def test_iterate_powers_p5_chain():
     chain = iterate_powers(P5, P5_REP, 4)
     assert [k for k, _, _ in chain] == [2, 3, 4]

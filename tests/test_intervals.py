@@ -18,13 +18,18 @@ from intpow import (
     format_representation,
     intersection_graph,
     is_proper,
+    iterate_powers,
     normalize,
     parse_representation,
     proper_to_unit,
     same_orders,
 )
 from testutil import (
+    find_containment_pair_pairs,
     intersection_graph_pairs,
+    proper_representations,
+    proper_to_unit_pairs,
+    random_proper_chain,
     random_proper_representation,
     random_representation,
     representations,
@@ -209,6 +214,7 @@ def test_is_proper_iff_containment_free(r):
     )
     assert is_proper(r) == (not containment)
     witness = find_containment_pair(r)
+    assert witness == find_containment_pair_pairs(r)
     assert (witness is None) == (not containment)
     if witness is not None:
         u, v = witness
@@ -257,9 +263,18 @@ def test_proper_to_unit_single_vertex():
     assert proper_to_unit(rep((7, 9))).intervals == ((0, 1),)
 
 
+def _unit_outcome(convert, r):
+    """The unit intervals, or the exception type and the witness."""
+    try:
+        return convert(r).intervals
+    except NotProperError as exc:
+        return type(exc), exc.witness
+
+
 @settings(max_examples=150)
 @given(representations(max_n=8, coord_max=20))
 def test_proper_to_unit_postconditions(r):
+    assert _unit_outcome(proper_to_unit, r) == _unit_outcome(proper_to_unit_pairs, r)
     if not is_proper(r):
         with pytest.raises(NotProperError):
             proper_to_unit(r)
@@ -284,6 +299,41 @@ def test_proper_to_unit_never_infeasible_on_random_proper_inputs():
         except InfeasibleConstraintsError:
             pytest.fail("feasible system reported infeasible")
         assert intersection_graph(out) == intersection_graph(r)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [(3, 5)],
+        [(2, 2)],
+        [(0, 2), (2, 4), (4, 6)],  # touching
+        [(1, 1), (1, 1), (2, 2), (0, 1)],  # twin points, touching
+        [(5, 8), (0, 3), (5, 8), (3, 5), (0, 3)],  # twins out of order
+        [(0, 4), (1, 5), (2, 6), (3, 7), (8, 9)],
+        [(0, 5), (1, 2)],  # improper
+        [(1, 3), (0, 3), (2, 2), (0, 1)],  # improper, later u wins
+        [(4, 4), (0, 9), (4, 4), (4, 6)],  # improper, equal lefts
+    ],
+)
+def test_proper_to_unit_rows_match_pair_oracle(rows):
+    r = rep(*rows)
+    assert _unit_outcome(proper_to_unit, r) == _unit_outcome(proper_to_unit_pairs, r)
+    assert find_containment_pair(r) == find_containment_pair_pairs(r)
+
+
+@settings(max_examples=300)
+@given(proper_representations(max_n=10))
+def test_proper_to_unit_matches_pair_oracle_on_proper_inputs(r):
+    assert proper_to_unit(r).intervals == proper_to_unit_pairs(r).intervals
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_proper_to_unit_matches_pair_oracle_on_chain_powers(n):
+    r = random_proper_chain(random.Random(n), n)
+    chain = iterate_powers(intersection_graph(r), r, 6)
+    for _, power, _ in chain:
+        assert proper_to_unit(power).intervals == proper_to_unit_pairs(power).intervals
 
 
 REP_TEXT = "3\n1 0 2\n2 1 4\n3 3 6\n"

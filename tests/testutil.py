@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from intpow import (
     Graph,
+    InfeasibleConstraintsError,
     IntervalRepresentation,
+    NotProperError,
     TrapezoidRepresentation,
     connected_components,
     intersection_graph,
@@ -78,6 +80,24 @@ def random_proper_representation(rng, max_n=15, coord_max=200, twin_prob=0.2):
     return IntervalRepresentation(rows)
 
 
+def random_proper_chain(rng, n):
+    """Connected proper representation on n vertices: intervals open and
+    close in the same order at 2n consecutive integers, with at most three
+    open at once and never none before the last one opens (about 1.5 edges
+    per vertex)."""
+    left, right = [0] * n, [0] * n
+    opened = closed = 0
+    for position in range(2 * n):
+        active = opened - closed
+        if opened < n and (active <= 1 or (active == 2 and rng.random() < 0.5)):
+            left[opened] = position
+            opened += 1
+        else:
+            right[closed] = position
+            closed += 1
+    return IntervalRepresentation(zip(left, right))
+
+
 def random_strict_trapezoid(rng, max_n=8):
     """Random trapezoid representation with all 2n endpoints distinct on
     each line, so all four endpoint orders are strict."""
@@ -121,6 +141,65 @@ def intersection_graph_pairs(r):
             if max(lu, lv) <= min(ru, rv):
                 edges.append((u, v))
     return Graph(r.n, edges)
+
+
+def find_containment_pair_pairs(r):
+    """Pair-scan oracle for find_containment_pair: the first u in id order
+    that properly contains any interval, and the first v it contains."""
+    for u in range(r.n):
+        lu, ru = r.intervals[u]
+        for v in range(r.n):
+            if u == v:
+                continue
+            lv, rv = r.intervals[v]
+            if lu <= lv and rv <= ru and (lu, ru) != (lv, rv):
+                return (u, v)
+    return None
+
+
+def proper_to_unit_pairs(r):
+    """Oracle for proper_to_unit: the same difference system written out
+    for every pair of vertices (about 2n^2 constraints), relaxed in plain
+    Bellman-Ford order."""
+    witness = find_containment_pair_pairs(r)
+    if witness is not None:
+        raise NotProperError(witness)
+    n = r.n
+    unit = n * n
+    g = intersection_graph_pairs(r)
+    lefts = [left for left, _ in r.intervals]
+    edges = []
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            if lefts[u] < lefts[v]:
+                edges.append((u, v, -1))
+                if g.has_edge(u, v):
+                    edges.append((v, u, unit))
+                else:
+                    edges.append((u, v, -(unit + 1)))
+            elif lefts[u] == lefts[v] and u < v:
+                edges.append((u, v, 0))
+                edges.append((v, u, 0))
+    dist = [0] * n
+    for _ in range(n):
+        changed = False
+        for x, y, w in edges:
+            if dist[x] + w < dist[y]:
+                dist[y] = dist[x] + w
+                changed = True
+        if not changed:
+            break
+    else:
+        for x, y, w in edges:
+            if dist[x] + w < dist[y]:
+                raise InfeasibleConstraintsError(
+                    "difference constraints contain a negative cycle"
+                )
+    starts = [-d for d in dist]
+    shift = min(starts, default=0)
+    return IntervalRepresentation((s - shift, s - shift + unit) for s in starts)
 
 
 def relabel_graph(g, permutation):
@@ -174,3 +253,20 @@ def representations(draw, max_n=10, coord_max=40):
     return IntervalRepresentation(
         [(min(a, b), max(a, b)) for a, b in endpoints]
     )
+
+
+@st.composite
+def proper_representations(draw, max_n=10):
+    """Proper representations in a shuffled vertex order.  Small gaps make
+    twins, point intervals and touching endpoints common."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    left = draw(st.integers(-3, 3))
+    right = left + draw(st.integers(0, 3))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 3)):  # 0 repeats the last interval
+            left += draw(st.integers(1, 3))
+            right = max(right + draw(st.integers(1, 3)), left)
+        rows.append((left, right))
+    permutation = draw(st.permutations(range(n)))
+    return IntervalRepresentation([rows[i] for i in permutation])
