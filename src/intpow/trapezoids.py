@@ -163,22 +163,28 @@ def enumerate_interleavings(left_order, right_order):
     closes = right_order.strict_sequence()
     n = len(opens)
     open_position = {v: i for i, v in enumerate(opens)}
-    events = []
 
-    def walk(i, j):
-        if i == n and j == n:
-            yield Interleaving(tuple(events))
-            return
-        if i < n:
-            events.append((LEFT, opens[i]))
-            yield from walk(i + 1, j)
-            events.pop()
-        if j < n and open_position[closes[j]] < i:
+    def walk():
+        # Lexicographic successor: pop events until an open can become the
+        # next close, place that close, then open the rest and close the rest.
+        events = []
+        i = j = 0
+        while True:
+            events += [(LEFT, v) for v in opens[i:]] + [(RIGHT, v) for v in closes[j:]]
+            yield Interleaving(events)
+            i = n
+            while events:
+                if events.pop()[0] == LEFT:
+                    i -= 1
+                    j = len(events) - i
+                    if open_position[closes[j]] < i:
+                        break
+            else:
+                return
             events.append((RIGHT, closes[j]))
-            yield from walk(i, j + 1)
-            events.pop()
+            j += 1
 
-    return walk(0, 0)
+    return walk()
 
 
 def count_interleavings_filter(left_order, right_order):
@@ -219,6 +225,11 @@ def search_representation(orders, target):
     Returns (first_match, match_count) where first_match is a
     TrapezoidRepresentation built from event positions (or None); pairs are
     scanned in lexicographic order, line 0 outermost.
+
+    Each interleaving gives two masks over the pairs u < v: u closes before
+    v opens, and v before u.  A candidate realizes the target exactly when
+    `before0 & before1 | after0 & after1` is the target's non-edge mask:
+    O(n^2) per interleaving plus one big-int compare per candidate.
     """
     l0, r0, l1, r1 = orders
     for order in orders:
@@ -227,36 +238,31 @@ def search_representation(orders, target):
                 f"order covers {order.n} vertices, target graph {target.n}"
             )
     n = target.n
-    adjacent = [[False] * n for _ in range(n)]
-    for u, v in target.edge_set:
-        adjacent[u][v] = True
-        adjacent[v][u] = True
-    line1 = [itl.coordinates() for itl in enumerate_interleavings(l1, r1)]
+    pairs = list(itertools.combinations(range(n), 2))
+    want = _mask(pair not in target.edge_set for pair in pairs)
+    line1 = [(c1, *_precedence_masks(c1, pairs))
+             for c1 in map(Interleaving.coordinates, enumerate_interleavings(l1, r1))]
     first = None
     matches = 0
     for itl0 in enumerate_interleavings(l0, r0):
         c0 = itl0.coordinates()
-        for c1 in line1:
-            if _realizes(c0, c1, adjacent, n):
+        before0, after0 = _precedence_masks(c0, pairs)
+        for c1, before1, after1 in line1:
+            if before0 & before1 | after0 & after1 == want:
                 matches += 1
                 if first is None:
-                    first = TrapezoidRepresentation(
-                        (c0[v][0], c0[v][1], c1[v][0], c1[v][1]) for v in range(n)
-                    )
+                    first = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
     return first, matches
 
 
-def _realizes(c0, c1, adjacent, n):
-    for u in range(n):
-        l0u, r0u = c0[u]
-        l1u, r1u = c1[u]
-        for v in range(u + 1, n):
-            l0v, r0v = c0[v]
-            l1v, r1v = c1[v]
-            disjoint = (r0u < l0v and r1u < l1v) or (r0v < l0u and r1v < l1u)
-            if disjoint == adjacent[u][v]:
-                return False
-    return True
+def _precedence_masks(c, pairs):
+    return (_mask(c[u][1] < c[v][0] for u, v in pairs),
+            _mask(c[v][1] < c[u][0] for u, v in pairs))
+
+
+def _mask(bits):
+    # First pair most significant; parsing is linear, OR-ing bit by bit quadratic.
+    return int("0" + "".join("1" if bit else "0" for bit in bits), 2)
 
 
 def parse_trapezoid(text, source="<trapezoid>"):

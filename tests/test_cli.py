@@ -17,15 +17,17 @@ from intpow import (
     load_representation,
     load_trace,
     load_trapezoid,
+    p5_representation,
     save_graph,
     save_orders,
     save_representation,
     save_trace,
     save_trapezoid,
+    search_representation,
     trapezoid_intersection_graph,
     trapezoid_orders,
 )
-from intpow.cli import main, run_p5_demo
+from intpow.cli import main
 
 P5_TEXT = "5 4\n1 2\n2 3\n3 4\n4 5\n"
 P5_SQUARED_TEXT = "5 7\n1 2\n1 3\n2 3\n2 4\n3 4\n3 5\n4 5\n"
@@ -266,6 +268,22 @@ def test_verify_against_different_orders_fails(tmp_path, capsys):
     assert stdout == "GRAPH: OK\nORDER_L: SAME\nORDER_R: DIFFERENT\n"
 
 
+def test_verify_rejects_vertex_count_mismatch_with_equal_edges(tmp_path, capsys):
+    graph = write(tmp_path / "three.graph", "3 0\n")
+    rep = write(tmp_path / "two.rep", "2\n1 0 1\n2 2 3\n")
+    code, stdout, stderr = run(capsys, "verify", graph, "1", rep)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: graph has 3 vertices, representation has 2\n"
+
+
+def test_verify_rejects_vertex_count_mismatch_with_different_edges(tmp_path, capsys):
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    rep = write(tmp_path / "two.rep", "2\n1 0 1\n2 2 3\n")
+    code, stdout, stderr = run(capsys, "verify", graph, "1", rep)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: graph has 5 vertices, representation has 2\n"
+
+
 def test_orders_renders_tie_groups(tmp_path, capsys):
     rep = write(tmp_path / "ties.rep", "3\n1 0 2\n2 0 4\n3 3 4\n")
     code, stdout, _ = run(capsys, "orders", rep)
@@ -307,6 +325,37 @@ def test_trapezoid_search_rejects_size_mismatch(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+def test_trapezoid_search_checks_sizes_before_counting(tmp_path, capsys, monkeypatch):
+    # Identity orders on 20 vertices have Catalan(20) interleavings per
+    # line; a size mismatch must be reported without enumerating them.
+    identity = " ".join(str(v) for v in range(1, 21))
+    orders = write(tmp_path / "big.orders", "".join(
+        f"{label}: {identity}\n" for label in ("L0", "R0", "L1", "R1")))
+    graph = write(tmp_path / "three.graph", "3 0\n")
+
+    def refuse(*args):
+        raise AssertionError("interleavings enumerated before the size check")
+
+    monkeypatch.setattr("intpow.cli.enumerate_interleavings", refuse)
+    code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:")
+
+
+def test_trapezoid_search_on_deeply_nested_orders(tmp_path, capsys):
+    # Nested intervals on both lines leave one candidate; the enumerator
+    # must not recurse once per event.
+    n = 600
+    up = " ".join(str(v) for v in range(1, n + 1))
+    down = " ".join(str(v) for v in range(n, 0, -1))
+    orders = write(tmp_path / "nested.orders",
+                   f"L0: {up}\nR0: {down}\nL1: {up}\nR1: {down}\n")
+    graph = write(tmp_path / "empty.graph", f"{n} 0\n")
+    code, stdout, _ = run(capsys, "trapezoid-search", orders, graph)
+    assert code == 0
+    assert stdout == "CANDIDATES: 1\nMATCHES: 0\n"
+
+
 def test_p5_demo_report(capsys):
     code, stdout, _ = run(capsys, "p5-demo")
     assert code == 0
@@ -324,10 +373,10 @@ def test_p5_demo_report(capsys):
 
 
 def test_p5_demo_target_override_hook():
-    code, lines = run_p5_demo(target=Graph.path(5))
-    assert code == 0
-    assert "TARGET: override" in lines
-    assert "MATCHES_TARGET: 16" in lines
+    # What the demo's search finds when P5 itself is the target.
+    orders = trapezoid_orders(p5_representation())
+    _, matches = search_representation(orders, Graph.path(5))
+    assert matches == 16
 
 
 def test_p5_demo_orders_override_hook():
@@ -338,13 +387,11 @@ def test_p5_demo_orders_override_hook():
         p5, 2, IntervalRepresentation([(0, 2), (1, 4), (3, 6), (5, 8), (7, 9)])
     )
     left, right = endpoint_orders(square_rep)
-    code, lines = run_p5_demo(orders=(left, right, left, right))
-    assert code == 0
-    assert "ORDERS: override" in lines
-    assert "TARGET: P5^2" in lines
-    report = dict(line.split(": ", 1) for line in lines)
-    assert int(report["MATCHES_TARGET"]) >= 1
-    assert int(report["MATCHES_P5_CONTROL"]) >= 1
+    orders = (left, right, left, right)
+    _, target_matches = search_representation(orders, graph_power(p5, 2))
+    _, control_matches = search_representation(orders, p5)
+    assert target_matches >= 1
+    assert control_matches >= 1
 
 
 def test_module_entry_point(tmp_path):

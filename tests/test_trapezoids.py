@@ -28,7 +28,7 @@ from intpow import (
     trapezoid_intersection_graph,
     trapezoid_orders,
 )
-from testutil import random_strict_trapezoid
+from testutil import random_strict_trapezoid, search_representation_pairs
 
 
 def catalan(n):
@@ -217,6 +217,27 @@ def test_enumerate_respects_both_orders():
         assert len(seen) == count_interleavings_filter(left, right)
 
 
+def test_enumerate_streams_in_lexicographic_order():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        left = WeakOrder.from_sequence(rng.sample(range(n), n))
+        right = WeakOrder.from_sequence(rng.sample(range(n), n))
+        events = [itl.events for itl in enumerate_interleavings(left, right)]
+        assert events == sorted(set(events))
+
+
+def test_enumerate_deeply_nested_orders():
+    # Nested intervals admit one merge; walking it takes 2n steps, so the
+    # enumerator must not recurse once per event.
+    n = 600
+    left = WeakOrder.from_sequence(list(range(n)))
+    right = WeakOrder.from_sequence(list(range(n - 1, -1, -1)))
+    only = list(enumerate_interleavings(left, right))
+    assert len(only) == 1
+    assert only[0].coordinates() == [(v, 2 * n - 1 - v) for v in range(n)]
+
+
 def test_enumerate_matches_filter_count_on_divergent_orders():
     left = WeakOrder.from_sequence([0, 1, 2])
     right = WeakOrder.from_sequence([2, 1, 0])
@@ -296,6 +317,30 @@ def test_search_first_match_is_lexicographically_earliest():
             if found is not None:
                 assert first == found
                 break
+
+
+def test_search_matches_brute_force_oracle():
+    # Random strict orders with random targets, most of them unrealizable,
+    # plus the edgeless and the complete graph on every order set.
+    rng = random.Random(5)
+    realized = 0
+    for trial in range(90):
+        n = trial % 6
+        orders = tuple(
+            WeakOrder.from_sequence(rng.sample(range(n), n)) for _ in range(4)
+        )
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.random()
+        targets = [
+            Graph(n, [pair for pair in pairs if rng.random() < density]),
+            Graph(n, []),
+            Graph.complete(n),
+        ]
+        for target in targets:
+            expected = search_representation_pairs(orders, target)
+            assert search_representation(orders, target) == expected
+            realized += expected[1] > 0
+    assert 0 < realized < 270
 
 
 def test_search_recovers_random_strict_instances():

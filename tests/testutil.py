@@ -14,7 +14,9 @@ from intpow import (
     NotProperError,
     TrapezoidRepresentation,
     connected_components,
+    enumerate_interleavings,
     intersection_graph,
+    trapezoid_intersection_graph,
 )
 
 
@@ -141,6 +143,25 @@ def intersection_graph_pairs(r):
             if max(lu, lv) <= min(ru, rv):
                 edges.append((u, v))
     return Graph(r.n, edges)
+
+
+def search_representation_pairs(orders, target):
+    """Brute-force oracle for search_representation: build every candidate
+    trapezoid representation and compare its pair-tested intersection
+    graph with the target."""
+    l0, r0, l1, r1 = orders
+    line1 = [itl.coordinates() for itl in enumerate_interleavings(l1, r1)]
+    first = None
+    matches = 0
+    for itl0 in enumerate_interleavings(l0, r0):
+        c0 = itl0.coordinates()
+        for c1 in line1:
+            candidate = TrapezoidRepresentation(c0[v] + c1[v] for v in range(target.n))
+            if trapezoid_intersection_graph(candidate) == target:
+                matches += 1
+                if first is None:
+                    first = candidate
+    return first, matches
 
 
 def find_containment_pair_pairs(r):
