@@ -106,10 +106,11 @@ def cmd_tounit(args):
 def cmd_verify(args):
     g = load_graph(args.graph)
     r = load_representation(args.rep)
-    if r.n != g.n:
-        raise VertexSetMismatchError(
-            f"graph has {g.n} vertices, representation has {r.n}"
-        )
+    other = load_representation(args.against) if args.against else None
+    # Both sizes are checked before any report line is printed.
+    for name, rep in (("representation", r), (args.against, other)):
+        if rep is not None and rep.n != g.n:
+            raise VertexSetMismatchError(f"graph has {g.n} vertices, {name} has {rep.n}")
     expected = graph_power_oracle(g, args.k)
     actual = intersection_graph(r)
     ok = actual == expected
@@ -119,8 +120,7 @@ def cmd_verify(args):
         print("GRAPH: MISMATCH")
         (u, v), missing = _first_difference(expected, actual)
         print(f"{'MISSING_EDGE' if missing else 'EXTRA_EDGE'}: {u + 1} {v + 1}")
-    if args.against:
-        other = load_representation(args.against)
+    if other is not None:
         left_a, right_a = endpoint_orders(r)
         left_b, right_b = endpoint_orders(other)
         left_same = same_orders(left_a, left_b)

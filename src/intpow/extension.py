@@ -101,8 +101,9 @@ def extend_representation(g, k, r):
 
 def _first_difference(expected, actual):
     """The smallest edge in only one of two graphs, and whether actual lacks it."""
-    pair = min(expected.edge_set ^ actual.edge_set)
-    return pair, pair in expected.edge_set
+    u = next(u for u in range(expected.n) if expected.neighbors(u) != actual.neighbors(u))
+    v = min(set(expected.neighbors(u)).symmetric_difference(actual.neighbors(u)))
+    return (u, v), expected.has_edge(u, v)
 
 
 def _mismatch_detail(expected, actual, power):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import _records
 from .errors import InvalidKError, InvalidVertexError, ParseError
 
@@ -27,36 +25,34 @@ BITSET_MIN_AVERAGE_DEGREE = 16
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are kept as a frozenset of (u, v) pairs with u < v; adjacency
-    lists are derived once at construction and never mutated.  The
-    adjacency bitmasks of the dense BFS path are derived from them on first
-    use and cached in a private slot that equality and hashing ignore.
+    The edges are stored once, as a sorted tuple of neighbours per vertex;
+    `edge_set` builds a frozenset of the pairs (u, v), u < v, on each read,
+    in O(m).  The dense BFS caches adjacency bitmasks in a private slot
+    that equality and hashing ignore.
     """
 
-    __slots__ = ("n", "edge_set", "_adjacency", "_masks")
+    __slots__ = ("n", "_adjacency", "_m", "_masks")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        canonical = set()
+        adjacency = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise InvalidVertexError(
-                    f"edge ({u}, {v}) out of range for {n} vertices"
-                )
+                raise InvalidVertexError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in canonical:
-                raise ValueError(f"duplicate edge {pair}")
-            canonical.add(pair)
-        self.n = n
-        self.edge_set = frozenset(canonical)
-        adjacency = [[] for _ in range(n)]
-        for u, v in canonical:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        for u, nbrs in enumerate(adjacency):
+            nbrs.sort()
+            if len(set(nbrs)) < len(nbrs):
+                # The first row with a repeat holds the smallest duplicate, u < v.
+                v = next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
+                raise ValueError(f"duplicate edge {(u, v)}")
+        self.n = n
+        self._adjacency = tuple(map(tuple, adjacency))
+        self._m = sum(map(len, adjacency)) // 2
         self._masks = None
 
     @classmethod
@@ -70,7 +66,11 @@ class Graph:
 
     @property
     def m(self):
-        return len(self.edge_set)
+        return self._m
+
+    @property
+    def edge_set(self):
+        return frozenset((u, v) for u, row in enumerate(self._adjacency) for v in row if u < v)
 
     def neighbors(self, v):
         if not 0 <= v < self.n:
@@ -81,16 +81,15 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u, v):
-        pair = (u, v) if u < v else (v, u)
-        return pair in self.edge_set
+        return 0 <= u < self.n and v in self._adjacency[u]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edge_set == other.edge_set
+        return self._adjacency == other._adjacency
 
     def __hash__(self):
-        return hash((self.n, self.edge_set))
+        return hash(self._adjacency)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -110,7 +109,7 @@ def bfs_distances(g, source):
         raise InvalidVertexError(f"vertex {source} out of range for {g.n} vertices")
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
-    if 2 * len(g.edge_set) >= BITSET_MIN_AVERAGE_DEGREE * g.n:
+    if 2 * g.m >= BITSET_MIN_AVERAGE_DEGREE * g.n:
         masks = g._masks
         if masks is None:
             masks = g._masks = tuple(sum(1 << w for w in nbrs) for nbrs in g._adjacency)
@@ -205,15 +204,12 @@ def connected_components(g):
         if seen[start]:
             continue
         seen[start] = True
-        queue = deque([start])
-        component = []
-        while queue:
-            u = queue.popleft()
-            component.append(u)
+        component = [start]
+        for u in component:
             for w in g.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
+                    component.append(w)
         components.append(sorted(component))
     return components
 
@@ -245,7 +241,8 @@ def parse_graph(text, source="<graph>"):
 
 def format_graph(g):
     """Render a graph in the file format, edges sorted, vertex ids 1-based."""
-    return _records.render([(g.n, g.m)] + [(u + 1, v + 1) for u, v in sorted(g.edge_set)])
+    edges = [(u + 1, v + 1) for u, row in enumerate(g._adjacency) for v in row if u < v]
+    return _records.render([(g.n, g.m), *edges])
 
 
 def load_graph(path):

@@ -239,7 +239,8 @@ def search_representation(orders, target):
             )
     n = target.n
     pairs = list(itertools.combinations(range(n), 2))
-    want = _mask(pair not in target.edge_set for pair in pairs)
+    edges = target.edge_set
+    want = _mask(pair not in edges for pair in pairs)
     line1 = [(c1, *_precedence_masks(c1, pairs))
              for c1 in map(Interleaving.coordinates, enumerate_interleavings(l1, r1))]
     first = None

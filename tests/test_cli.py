@@ -284,6 +284,15 @@ def test_verify_rejects_vertex_count_mismatch_with_different_edges(tmp_path, cap
     assert stderr == "error: graph has 5 vertices, representation has 2\n"
 
 
+def test_verify_rejects_against_of_another_size(tmp_path, capsys):
+    graph = write(tmp_path / "g3.graph", "3 2\n1 2\n2 3\n")
+    rep = write(tmp_path / "r3.rep", "3\n1 0 2\n2 1 4\n3 3 5\n")
+    other = write(tmp_path / "r2.rep", "2\n1 0 1\n2 1 2\n")
+    code, stdout, stderr = run(capsys, "verify", graph, "1", rep, "--against", other)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: graph has 3 vertices, {other} has 2\n"
+
+
 def test_orders_renders_tie_groups(tmp_path, capsys):
     rep = write(tmp_path / "ties.rep", "3\n1 0 2\n2 0 4\n3 3 4\n")
     code, stdout, _ = run(capsys, "orders", rep)

@@ -26,7 +26,7 @@ from intpow import (
     parse_trace,
     same_orders,
 )
-from testutil import random_connected_representation, random_proper_representation
+from testutil import random_connected_representation, random_proper_representation, representations
 
 P4 = Graph.path(4)
 P4_REP = IntervalRepresentation([(0, 2), (1, 4), (3, 6), (5, 7)])
@@ -80,6 +80,23 @@ def test_rejects_representation_with_extra_edge():
     with pytest.raises(RepresentationMismatchError) as err:
         extend_representation(P4, 2, crowded)
     assert err.value.pair == (1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(representations(max_n=8), st.randoms(use_true_random=False))
+def test_mismatch_names_smallest_differing_pair(r, rnd):
+    """The reported pair is the smallest pair in the symmetric difference
+    of the two edge sets, and the message says which side lacks it."""
+    n = r.n
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.4])
+    expected, actual = g.edge_set, intersection_graph(r).edge_set
+    if expected == actual:
+        return
+    with pytest.raises(RepresentationMismatchError) as err:
+        extend_representation(g, 2, r)
+    pair = min(expected ^ actual)
+    assert err.value.pair == pair
+    assert str(err.value).endswith("disjoint") == (pair in expected)
 
 
 def test_left_endpoints_are_scaled_normalized_lefts():

@@ -19,6 +19,8 @@ from intpow import (
 )
 from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE
 from testutil import (
+    ReferenceGraph,
+    edge_lists,
     floyd_warshall,
     graphs,
     random_block_graph,
@@ -45,6 +47,54 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidVertexError):
         Graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("n, edges, error, message", [
+    pytest.param(-1, [], ValueError, "vertex count must be nonnegative", id="negative-n"),
+    pytest.param(3, [(0, 1), (1, 1)], ValueError, "self-loop at vertex 1", id="self-loop"),
+    pytest.param(3, [(0, 3)], InvalidVertexError, "edge (0, 3) out of range for 3 vertices",
+                 id="second-endpoint-too-large"),
+    pytest.param(3, [(3, 0)], InvalidVertexError, "edge (3, 0) out of range for 3 vertices",
+                 id="first-endpoint-too-large"),
+    pytest.param(3, [(0, -1)], InvalidVertexError, "edge (0, -1) out of range for 3 vertices",
+                 id="second-endpoint-negative"),
+    pytest.param(3, [(-1, 2)], InvalidVertexError, "edge (-1, 2) out of range for 3 vertices",
+                 id="first-endpoint-negative"),
+    pytest.param(4, [(0, 2), (0, 3), (0, 2)], ValueError, "duplicate edge (0, 2)",
+                 id="duplicate-same-orientation"),
+    pytest.param(4, [(0, 1), (2, 1), (1, 3), (1, 2)], ValueError, "duplicate edge (1, 2)",
+                 id="duplicate-reversed"),
+])
+def test_graph_constructor_errors(n, edges, error, message):
+    with pytest.raises(error) as info:
+        Graph(n, edges)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(max_n=12), st.randoms(use_true_random=False))
+def test_graph_matches_reference_model(case, rnd):
+    n, edges = case
+    g = Graph(n, edges)
+    ref = ReferenceGraph(n, edges)
+    assert g.edge_set == ref.edge_set
+    assert g.m == ref.m
+    for v in range(n):
+        assert g.neighbors(v) == ref.neighbors(v)
+        assert g.degree(v) == ref.degree(v)
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in rnd.sample(edges, len(edges))]
+    twin = Graph(n, shuffled)
+    assert twin == g and hash(twin) == hash(g)
+    assert Graph(n + 1, edges) != g
+    if edges:
+        assert Graph(n, shuffled[1:]) != g
+    text = format_graph(g)
+    assert text.encode() == ref.text().encode()
+    assert parse_graph(text) == g
 
 
 def test_bfs_p5_from_end():

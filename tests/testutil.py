@@ -223,6 +223,31 @@ def proper_to_unit_pairs(r):
     return IntervalRepresentation((s - shift, s - shift + unit) for s in starts)
 
 
+class ReferenceGraph:
+    """Reference model of Graph: the frozenset of canonical pairs (u, v),
+    u < v, and everything else derived from it by brute force.  It reads
+    nothing of Graph, so it can check Graph's own storage."""
+
+    def __init__(self, n, edges):
+        self.n = n
+        self.edge_set = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        self.m = len(self.edge_set)
+
+    def neighbors(self, v):
+        return tuple(sorted(w for pair in self.edge_set if v in pair for w in pair if w != v))
+
+    def degree(self, v):
+        return len(self.neighbors(v))
+
+    def has_edge(self, u, v):
+        return (min(u, v), max(u, v)) in self.edge_set
+
+    def text(self):
+        """The graph file text: header "n m", then the sorted pairs, 1-based."""
+        lines = [f"{self.n} {self.m}"] + [f"{u + 1} {v + 1}" for u, v in sorted(self.edge_set)]
+        return "".join(line + "\n" for line in lines)
+
+
 def relabel_graph(g, permutation):
     """permutation[v] is the new id of v."""
     return Graph(g.n, [(permutation[u], permutation[v]) for u, v in g.edge_set])
@@ -257,6 +282,17 @@ def graphs(draw, max_n=10):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return Graph(n, edges)
+
+
+@st.composite
+def edge_lists(draw, max_n=12):
+    """(n, edges) for a simple graph on n = 0..max_n vertices, its edges
+    listed in random order, each in a random orientation."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
 
 
 @st.composite
