@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import (
@@ -22,11 +23,20 @@ from .errors import (
     VertexSetMismatchError,
 )
 from .extension import _first_difference, extend_representation, iterate_powers, save_trace
-from .graphs import Graph, format_graph, graph_power, graph_power_oracle, load_graph, save_graph
+from .graphs import (
+    Graph,
+    format_graph,
+    graph_power,
+    graph_power_oracle,
+    load_graph,
+    save_graph,
+    widen_balls,
+)
 from .intervals import (
     endpoint_orders,
     format_representation,
     intersection_graph,
+    intersection_rows,
     load_representation,
     proper_to_unit,
     same_orders,
@@ -55,18 +65,31 @@ def cmd_power(args):
 
 
 def cmd_extend(args):
+    # Both files are written per step, so one name for both would leave
+    # only the trace.
+    if args.out and args.trace:
+        out, trace = (_step_path(path, args.k, args.iterate) for path in (args.out, args.trace))
+        if os.path.realpath(out) == os.path.realpath(trace):
+            print(f"error: --out and --trace name the same file: {args.out}", file=sys.stderr)
+            return 2
     g = load_graph(args.graph)
     r = load_representation(args.rep)
     base_left, base_right = endpoint_orders(r)
     if args.iterate:
         steps = iterate_powers(g, r, args.k)
+        # The re-check grows its own distance balls, B_1 here and B_k below.
+        balls = widen_balls(g, [1 << x for x in range(g.n)])
     else:
         extended, trace = extend_representation(g, args.k, r)
         steps = [(args.k, extended, trace)]
     all_ok = True
     for k, rep, trace in steps:
         out_left, out_right = endpoint_orders(rep)
-        graph_ok = intersection_graph(rep) == graph_power(g, k)
+        if args.iterate:
+            balls = widen_balls(g, balls)
+            graph_ok = intersection_rows(rep) == balls
+        else:
+            graph_ok = intersection_graph(rep) == graph_power(g, k)
         left_ok = same_orders(base_left, out_left)
         right_ok = same_orders(base_right, out_right)
         all_ok = all_ok and graph_ok and left_ok and right_ok
@@ -76,13 +99,15 @@ def cmd_extend(args):
         print(f"ORDER_L: {'PRESERVED' if left_ok else 'VIOLATED'}")
         print(f"ORDER_R: {'PRESERVED' if right_ok else 'VIOLATED'}")
         if args.out:
-            path = f"{args.out}.k{k}" if args.iterate else args.out
-            save_representation(rep, path)
+            save_representation(rep, _step_path(args.out, k, args.iterate))
         if args.trace:
-            path = f"{args.trace}.k{k}" if args.iterate else args.trace
-            save_trace(trace, path)
+            save_trace(trace, _step_path(args.trace, k, args.iterate))
     print(f"RESULT: {'OK' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
+
+
+def _step_path(path, k, iterate):
+    return f"{path}.k{k}" if iterate else path
 
 
 def cmd_tounit(args):

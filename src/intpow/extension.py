@@ -12,8 +12,13 @@ from .errors import (
     RepresentationMismatchError,
     VertexSetMismatchError,
 )
-from .graphs import bfs_distances, graph_power
-from .intervals import IntervalRepresentation, intersection_graph, normalize
+from .graphs import bfs_distances, graph_power, widen_balls
+from .intervals import (
+    IntervalRepresentation,
+    intersection_graph,
+    intersection_rows,
+    normalize,
+)
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,6 @@ def extend_representation(g, k, r):
 
     base = normalize(r)
     n = g.n
-    scale = n + 1
     witness = [None] * n
     # Largest left endpoint first, smallest id first among equal ones: the
     # first vertex exactly k away in this list, if it starts right of x, is
@@ -76,7 +80,18 @@ def extend_representation(g, k, r):
             if dist[y] == k:
                 witness[x] = y
                 break
+    return _stretch(base, k, witness)
 
+
+def _stretch(base, k, witness):
+    """Scale a normalized representation by n + 1 and move the right end
+    of every x with a witness into the gap after the witness's left end.
+
+    Vertices stretched into the same gap are laid out by the order of
+    their original right endpoints, so both endpoint orders survive.
+    """
+    n = base.n
+    scale = n + 1
     new_right = [scale * base.right(x) for x in range(n)]
     gaps = {}
     for x in range(n):
@@ -128,15 +143,48 @@ def iterate_powers(g, r, k_max):
 
     Returns a list of (k, representation, trace) for k = 2..k_max; each
     step feeds the previous output back in, so every chain member keeps
-    the endpoint orders of r.
+    the endpoint orders of r.  The result, errors included, is that of
+    one extend_representation call per k, but no BFS runs: two lists of
+    distance balls, B_(k-1) and B_k, are carried from step to step and
+    widened by one hop per k.  Step k checks its input by comparing
+    intersection_rows with B_(k-1), and x's witness is the vertex of the
+    sphere B_k(x) minus B_(k-1)(x) with the largest left endpoint right of
+    x's, the smallest id among ties.  That costs n + 2m big-int ORs plus
+    O(n log n) per step, k_max * (n + 2m) ORs for the chain.
     """
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
+    if r.n != g.n:
+        raise VertexSetMismatchError(
+            f"graph has {g.n} vertices, representation has {r.n}"
+        )
+    inner = widen_balls(g, [1 << x for x in range(g.n)])
     chain = []
     current = r
     for k in range(2, k_max + 1):
-        current, trace = extend_representation(g, k, current)
+        if intersection_rows(current) != inner:
+            message, pair = _mismatch_detail(
+                graph_power(g, k - 1), intersection_graph(current), k - 1
+            )
+            raise RepresentationMismatchError(message, pair)
+        outer = widen_balls(g, inner)
+        base = normalize(current)
+        lefts = [left for left, _ in base.intervals]
+        witness = []
+        for x, left_x in enumerate(lefts):
+            best, best_left = None, left_x
+            sphere = outer[x] & ~inner[x]
+            while sphere:
+                low = sphere & -sphere
+                y = low.bit_length() - 1
+                # Ids ascend, so a strict test keeps the smallest among ties.
+                if lefts[y] > best_left:
+                    best, best_left = y, lefts[y]
+                sphere ^= low
+            witness.append(best)
+        current, trace = _stretch(base, k, witness)
         chain.append((k, current, trace))
+        inner = outer
     return chain
 
 

@@ -9,8 +9,9 @@ from .errors import InvalidKError, InvalidVertexError, ParseError
 UNREACHABLE = None
 
 # Largest vertex count a graph file may declare.  Every graph command runs
-# at least n BFS passes or n^2 pair tests, so a larger graph cannot finish,
-# and rejecting the header keeps Graph(n) from allocating n adjacency lists.
+# at least n BFS passes, n^2 pair tests or n rows of n-bit masks, so a
+# larger graph cannot finish, and rejecting the header keeps Graph(n) from
+# allocating n adjacency lists.
 MAX_VERTICES = 2**20
 
 # bfs_distances uses adjacency bitmasks from this average degree up, and a
@@ -137,6 +138,22 @@ def bfs_distances(g, source):
                 dist[w] = d
                 queue.append(w)
     return dist
+
+
+def widen_balls(g, balls):
+    """Grow distance balls by one hop.
+
+    balls[x] is the bitmask of the vertices within distance j of x, as
+    from j widenings of [1 << x for x in range(g.n)]; the result holds
+    those within j + 1.  One big-int OR per vertex and per adjacency
+    entry, n + 2m in all.
+    """
+    wider = []
+    for row, nbrs in zip(balls, g._adjacency):
+        for z in nbrs:
+            row |= balls[z]
+        wider.append(row)
+    return wider
 
 
 def graph_power(g, k):

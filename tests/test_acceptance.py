@@ -187,3 +187,20 @@ def test_acceptance_8_containment_check_scales_linearly():
         assert find_containment_pair(improper) == (7998, 7999)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_acceptance_9_proper_chain_iterates_fast():
+    # k = 4, not 6: a chain with n = 3200 leaves the 64-bit range before G^6.
+    with criterion(9, "iterated extension at n=3200 stays fast"):
+        r = random_proper_chain(random.Random(909), 3200)
+        g = intersection_graph(r)
+        started = time.perf_counter()
+        chain = iterate_powers(g, r, 4)
+        elapsed = time.perf_counter() - started
+        assert [k for k, _, _ in chain] == [2, 3, 4]
+        base_left, base_right = endpoint_orders(r)
+        for _, rep, _ in chain:
+            out_left, out_right = endpoint_orders(rep)
+            assert same_orders(base_left, out_left)
+            assert same_orders(base_right, out_right)
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -161,6 +161,22 @@ def test_extend_iterate_writes_suffixed_files(tmp_path, capsys):
     assert endpoint_orders(final) == endpoint_orders(base)
 
 
+@pytest.mark.parametrize("steps", [["2"], ["3", "--iterate"]])
+def test_extend_rejects_out_and_trace_on_one_file(tmp_path, capsys, steps):
+    graph = write(tmp_path / "p4.graph", P4_TEXT)
+    rep = write(tmp_path / "p4.rep", P4_REP_TEXT)
+    (tmp_path / "sub").mkdir()
+    same = tmp_path / "both"
+    alias = tmp_path / "sub" / ".." / "both"
+    code, stdout, stderr = run(
+        capsys, "extend", graph, rep, *steps, "--out", str(same), "--trace", str(alias),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: --out and --trace name the same file: {same}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["p4.graph", "p4.rep", "sub"]
+
+
 def test_extend_rejects_non_realizing_representation(tmp_path, capsys):
     graph = write(tmp_path / "p4.graph", P4_TEXT)
     rep = write(tmp_path / "apart.rep", "4\n1 0 1\n2 2 3\n3 4 5\n4 6 7\n")

@@ -26,7 +26,15 @@ from intpow import (
     parse_trace,
     same_orders,
 )
-from testutil import random_connected_representation, random_proper_representation, representations
+from testutil import (
+    iterate_powers_chained,
+    random_connected_representation,
+    random_graph,
+    random_proper_chain,
+    random_proper_representation,
+    random_representation,
+    representations,
+)
 
 P4 = Graph.path(4)
 P4_REP = IntervalRepresentation([(0, 2), (1, 4), (3, 6), (5, 7)])
@@ -197,6 +205,54 @@ def test_iterate_rejects_k_max_below_two():
 def test_iterate_rejects_non_realizing_start():
     with pytest.raises(RepresentationMismatchError):
         iterate_powers(P4, IntervalRepresentation([(0, 9), (1, 2), (3, 4), (5, 6)]), 3)
+
+
+def test_iterate_matches_chained_extensions():
+    """The ball-row chain equals one extend_representation call per k, on
+    connected and disconnected starts with twins and shared endpoints."""
+    rng = random.Random(47)
+    for trial in range(150):
+        if trial % 2:
+            r = random_connected_representation(rng, max_n=20, coord_max=rng.choice([12, 60]))
+        else:
+            r = random_representation(rng, max_n=20, coord_max=rng.choice([12, 60]))
+        g = intersection_graph(r)
+        k_max = 2 + trial % 5
+        assert iterate_powers(g, r, k_max) == iterate_powers_chained(g, r, k_max)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_iterate_matches_chained_extensions_on_proper_chains(n):
+    r = random_proper_chain(random.Random(n), n)
+    g = intersection_graph(r)
+    assert iterate_powers(g, r, 6) == iterate_powers_chained(g, r, 6)
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except (InvalidKError, RepresentationMismatchError, VertexSetMismatchError) as exc:
+        return type(exc), str(exc), getattr(exc, "pair", None)
+
+
+def test_iterate_errors_match_chained_extensions():
+    """Non-realizing starts, size mismatches and k_max below two raise
+    the same exception, message and pair as the chained oracle."""
+    rng = random.Random(53)
+    cases = [(P4, P4_REP, k) for k in (-1, 0, 1)]
+    cases += [(P5, P4_REP, 3), (P4, P5_REP, 2), (Graph(0), P4_REP, 4)]
+    cases.append((Graph(0), IntervalRepresentation([]), 3))  # realizes: both return a chain
+    for _ in range(150):
+        r = random_representation(rng, max_n=10, coord_max=20)
+        g = random_graph(rng, max_n=10)
+        g = Graph(r.n, [(u, v) for u, v in g.edge_set if v < r.n])
+        cases.append((g, r, rng.randint(2, 4)))
+    mismatches = 0
+    for g, r, k_max in cases:
+        expected = _outcome(iterate_powers_chained, g, r, k_max)
+        mismatches += isinstance(expected, tuple) and expected[0] is RepresentationMismatchError
+        assert _outcome(iterate_powers, g, r, k_max) == expected
+    assert mismatches >= 100
 
 
 def test_fixpoint_when_power_stabilizes():

@@ -16,6 +16,7 @@ from intpow import (
     graph_power,
     graph_power_oracle,
     parse_graph,
+    widen_balls,
 )
 from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE
 from testutil import (
@@ -185,6 +186,30 @@ def test_both_bfs_paths_match_floyd_warshall():
         for k in (1, 2, 3, 4):
             assert graph_power(g, k) == graph_power_oracle(g, k)
     assert paths_hit == {False, True}
+
+
+def test_widen_balls_match_floyd_warshall_and_bfs():
+    # Dense and sparse graphs, block graphs with isolated vertices, and
+    # n = 0 and n = 1: ball j must hold exactly the vertices within
+    # distance j, for every j up to one past the diameter.
+    rng = random.Random(29)
+    cases = [Graph(0), Graph(1), Graph.path(7)]
+    cases += [random_graph(rng, max_n=14, edge_prob=p) for p in (0.1, 0.3, 0.9) for _ in range(4)]
+    cases += [random_block_graph(rng, n, p, blocks, isolated) for n, p, blocks, isolated in [
+        (20, 0.15, 3, 2), (30, 0.9, 2, 3), (40, 0.1, 4, 0), (40, 0.6, 1, 5),
+    ]]
+    for g in cases:
+        dist = floyd_warshall(g)
+        assert dist == [bfs_distances(g, source) for source in range(g.n)]
+        diameter = max((d for row in dist for d in row if d is not None), default=0)
+        balls = [1 << x for x in range(g.n)]
+        for j in range(diameter + 2):
+            expected = [
+                sum(1 << y for y, d in enumerate(row) if d is not None and d <= j)
+                for row in dist
+            ]
+            assert balls == expected, (g, j)
+            balls = widen_balls(g, balls)
 
 
 def test_components_p5():

@@ -17,6 +17,7 @@ from intpow import (
     find_containment_pair,
     format_representation,
     intersection_graph,
+    intersection_rows,
     is_proper,
     iterate_powers,
     normalize,
@@ -25,6 +26,7 @@ from intpow import (
     same_orders,
 )
 from testutil import (
+    crowded_representations,
     find_containment_pair_pairs,
     intersection_graph_pairs,
     proper_representations,
@@ -89,6 +91,16 @@ def test_intersection_sweep_rows(rows, edges):
 @given(representations(max_n=12, coord_max=15))
 def test_intersection_sweep_matches_pair_tests(r):
     assert intersection_graph(r) == intersection_graph_pairs(r)
+
+
+@settings(max_examples=300)
+@given(crowded_representations())
+def test_intersection_rows_match_pair_tests(r):
+    pairs = intersection_graph_pairs(r)
+    expected = [
+        (1 << x) | sum(1 << y for y in pairs.neighbors(x)) for x in range(r.n)
+    ]
+    assert intersection_rows(r) == expected
 
 
 def test_endpoint_orders_strict():

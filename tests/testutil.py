@@ -11,10 +11,12 @@ from intpow import (
     Graph,
     InfeasibleConstraintsError,
     IntervalRepresentation,
+    InvalidKError,
     NotProperError,
     TrapezoidRepresentation,
     connected_components,
     enumerate_interleavings,
+    extend_representation,
     intersection_graph,
     trapezoid_intersection_graph,
 )
@@ -143,6 +145,19 @@ def intersection_graph_pairs(r):
             if max(lu, lv) <= min(ru, rv):
                 edges.append((u, v))
     return Graph(r.n, edges)
+
+
+def iterate_powers_chained(g, r, k_max):
+    """Chain oracle for iterate_powers: one extend_representation call per
+    k, each validating its input and finding witnesses by BFS."""
+    if k_max < 2:
+        raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
+    chain = []
+    current = r
+    for k in range(2, k_max + 1):
+        current, trace = extend_representation(g, k, current)
+        chain.append((k, current, trace))
+    return chain
 
 
 def search_representation_pairs(orders, target):
@@ -310,6 +325,23 @@ def representations(draw, max_n=10, coord_max=40):
     return IntervalRepresentation(
         [(min(a, b), max(a, b)) for a, b in endpoints]
     )
+
+
+@st.composite
+def crowded_representations(draw, max_n=12):
+    """Representations on n = 0..max_n vertices packed into 0..6, so
+    touching endpoints, point intervals and twins are common; some rows
+    are copies of earlier ones, and the ids are shuffled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        left = draw(st.integers(0, 6))
+        rows.append((left, left + draw(st.sampled_from([0, 0, 1, 2, 4]))))
+    permutation = draw(st.permutations(range(n)))
+    return IntervalRepresentation([rows[i] for i in permutation])
 
 
 @st.composite
