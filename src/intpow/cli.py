@@ -43,8 +43,8 @@ from .intervals import (
     save_representation,
 )
 from .trapezoids import (
+    count_interleavings,
     count_interleavings_filter,
-    enumerate_interleavings,
     load_orders,
     p5_representation,
     save_trapezoid,
@@ -175,8 +175,8 @@ def cmd_trapezoid_search(args):
     target = load_graph(args.graph)
     # The search checks the vertex counts before it enumerates anything.
     first, matches = search_representation(orders, target)
-    line0 = sum(1 for _ in enumerate_interleavings(orders[0], orders[1]))
-    line1 = sum(1 for _ in enumerate_interleavings(orders[2], orders[3]))
+    line0 = count_interleavings(orders[0], orders[1])
+    line1 = count_interleavings(orders[2], orders[3])
     print(f"CANDIDATES: {line0 * line1}")
     print(f"MATCHES: {matches}")
     if first is not None and args.out:
@@ -200,8 +200,8 @@ def run_p5_demo():
     expected = [[0, 2, 1, 4, 3]] * 2 + [[1, 0, 3, 2, 4]] * 2
     orders_ok = [o.strict_sequence() for o in orders] == expected
     lines.append(f"P5_ORDERS: {'OK' if orders_ok else 'FAIL'}")
-    line0 = sum(1 for _ in enumerate_interleavings(orders[0], orders[1]))
-    line1 = sum(1 for _ in enumerate_interleavings(orders[2], orders[3]))
+    line0 = count_interleavings(orders[0], orders[1])
+    line1 = count_interleavings(orders[2], orders[3])
     filter0 = count_interleavings_filter(orders[0], orders[1])
     filter1 = count_interleavings_filter(orders[2], orders[3])
     candidates = line0 * line1

@@ -118,6 +118,13 @@ class Interleaving:
             raise ValueError("events must pair one open and one close per vertex 0..n-1")
         self.events = events
 
+    @classmethod
+    def _trusted(cls, events):
+        # For merges the enumerator builds, which are valid by construction.
+        itl = cls.__new__(cls)
+        itl.events = tuple(events)
+        return itl
+
     @property
     def n(self):
         return len(self.events) // 2
@@ -171,7 +178,7 @@ def enumerate_interleavings(left_order, right_order):
         i = j = 0
         while True:
             events += [(LEFT, v) for v in opens[i:]] + [(RIGHT, v) for v in closes[j:]]
-            yield Interleaving(events)
+            yield Interleaving._trusted(events)
             i = n
             while events:
                 if events.pop()[0] == LEFT:
@@ -185,6 +192,30 @@ def enumerate_interleavings(left_order, right_order):
             j += 1
 
     return walk()
+
+
+def count_interleavings(left_order, right_order):
+    """Count the merges of one line's two strict orders in O(n^2).
+
+    A merge is a lattice path from (0, 0) to (n, n) over (opens placed,
+    closes placed); the step closing closes[j] at row i is allowed when
+    that vertex is among the first i opens.
+    """
+    if left_order.n != right_order.n:
+        raise VertexSetMismatchError(
+            f"orders cover {left_order.n} and {right_order.n} vertices"
+        )
+    opens = left_order.strict_sequence()
+    closes = right_order.strict_sequence()
+    open_position = {v: i for i, v in enumerate(opens)}
+    close_rank = [open_position[v] for v in closes]
+    # ways[j]: paths to (i, j); an open step keeps ways[j] for row i + 1.
+    ways = [1] + [0] * len(opens)
+    for i in range(1, len(opens) + 1):
+        for j, rank in enumerate(close_rank):
+            if rank < i:
+                ways[j + 1] += ways[j]
+    return ways[-1]
 
 
 def count_interleavings_filter(left_order, right_order):
@@ -226,10 +257,19 @@ def search_representation(orders, target):
     TrapezoidRepresentation built from event positions (or None); pairs are
     scanned in lexicographic order, line 0 outermost.
 
-    Each interleaving gives two masks over the pairs u < v: u closes before
-    v opens, and v before u.  A candidate realizes the target exactly when
-    `before0 & before1 | after0 & after1` is the target's non-edge mask:
-    O(n^2) per interleaving plus one big-int compare per candidate.
+    A pair realizes the target exactly when every non-edge is disjoint on
+    both lines in the same direction and no edge is.  So each line keeps
+    only the interleavings on which every non-edge is disjoint; on those,
+    the direction of each non-edge is a bit, and the bits form a key.  A
+    pair can match only if its two keys are equal, so the search is a hash
+    join on that key.  Line-1 interleavings are bucketed by key in
+    enumeration order, and each line-0 interleaving tests its bucket alone
+    for edges disjoint in the same direction on both lines, which keeps the
+    first match and the count of the full product.  The cost is one mask
+    build per interleaving of either line (one shifted n-bit OR per close
+    event) plus one big-int AND per pair inside a bucket.  With few
+    non-edges the buckets are few and large: the complete graph
+    degenerates to the full product.
     """
     l0, r0, l1, r1 = orders
     for order in orders:
@@ -238,32 +278,50 @@ def search_representation(orders, target):
                 f"order covers {order.n} vertices, target graph {target.n}"
             )
     n = target.n
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = target.edge_set
-    want = _mask(pair not in edges for pair in pairs)
-    line1 = [(c1, *_precedence_masks(c1, pairs))
-             for c1 in map(Interleaving.coordinates, enumerate_interleavings(l1, r1))]
+    # Bit n*u + v of a line's mask: u closes before v opens.  `want` holds
+    # each non-edge in both directions, `forward` only from u < v, and
+    # `edges` each edge in both directions.
+    full = (1 << n) - 1
+    want = forward = edges = 0
+    for u in range(n):
+        adjacent = sum(1 << w for w in target.neighbors(u))
+        apart = full ^ (1 << u) ^ adjacent
+        want |= apart << (n * u)
+        forward |= (apart >> (u + 1)) << (n * u + u + 1)
+        edges |= adjacent << (n * u)
+    non_edges = n * (n - 1) // 2 - target.m
+
+    def joinable(left_order, right_order):
+        # Yields (key, edge mask, interleaving) for every interleaving on
+        # which each non-edge is disjoint; a non-edge sets at most one of
+        # its two bits.
+        opens = left_order.strict_sequence()
+        later = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            later[i] = later[i + 1] | (1 << opens[i])
+        for itl in enumerate_interleavings(left_order, right_order):
+            mask = opened = 0
+            for tag, v in itl.events:
+                if tag == LEFT:
+                    opened += 1
+                else:
+                    mask |= later[opened] << (n * v)
+            if (mask & want).bit_count() == non_edges:
+                yield mask & forward, mask & edges, itl
+
+    buckets = {}
+    for key, edges1, itl1 in joinable(l1, r1):
+        buckets.setdefault(key, []).append((edges1, itl1))
     first = None
     matches = 0
-    for itl0 in enumerate_interleavings(l0, r0):
-        c0 = itl0.coordinates()
-        before0, after0 = _precedence_masks(c0, pairs)
-        for c1, before1, after1 in line1:
-            if before0 & before1 | after0 & after1 == want:
+    for key, edges0, itl0 in joinable(l0, r0):
+        for edges1, itl1 in buckets.get(key, ()):
+            if not edges0 & edges1:
                 matches += 1
                 if first is None:
+                    c0, c1 = itl0.coordinates(), itl1.coordinates()
                     first = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
     return first, matches
-
-
-def _precedence_masks(c, pairs):
-    return (_mask(c[u][1] < c[v][0] for u, v in pairs),
-            _mask(c[v][1] < c[u][0] for u, v in pairs))
-
-
-def _mask(bits):
-    # First pair most significant; parsing is linear, OR-ing bit by bit quadratic.
-    return int("0" + "".join("1" if bit else "0" for bit in bits), 2)
 
 
 def parse_trapezoid(text, source="<trapezoid>"):

@@ -24,11 +24,13 @@ from intpow import (
     p5_representation,
     proper_to_unit,
     same_orders,
+    search_representation,
     trapezoid_intersection_graph,
     trapezoid_orders,
 )
 from intpow.cli import run_p5_demo
 from testutil import (
+    random_ballot_orders,
     random_connected_representation,
     random_graph,
     random_proper_chain,
@@ -203,4 +205,18 @@ def test_acceptance_9_proper_chain_iterates_fast():
             out_left, out_right = endpoint_orders(rep)
             assert same_orders(base_left, out_left)
             assert same_orders(base_right, out_right)
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_acceptance_10_trapezoid_search_n10():
+    # The product of both lines' interleavings is 4.0e7 candidates here;
+    # 210 is the count of the exhaustive product search.
+    with criterion(10, "trapezoid search at n=10 against G stays fast"):
+        orders, g = random_ballot_orders(random.Random(1010), 10)
+        started = time.perf_counter()
+        first, matches = search_representation(orders, g)
+        elapsed = time.perf_counter() - started
+        assert matches == 210
+        assert trapezoid_intersection_graph(first) == g
+        assert trapezoid_orders(first) == orders
         assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -359,9 +359,10 @@ def test_trapezoid_search_checks_sizes_before_counting(tmp_path, capsys, monkeyp
     graph = write(tmp_path / "three.graph", "3 0\n")
 
     def refuse(*args):
-        raise AssertionError("interleavings enumerated before the size check")
+        raise AssertionError("interleavings counted before the size check")
 
-    monkeypatch.setattr("intpow.cli.enumerate_interleavings", refuse)
+    monkeypatch.setattr("intpow.cli.count_interleavings", refuse)
+    monkeypatch.setattr("intpow.trapezoids.enumerate_interleavings", refuse)
     code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph)
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:")

@@ -14,6 +14,7 @@ from intpow import (
     TrapezoidRepresentation,
     VertexSetMismatchError,
     WeakOrder,
+    count_interleavings,
     count_interleavings_filter,
     endpoint_orders,
     enumerate_interleavings,
@@ -28,7 +29,12 @@ from intpow import (
     trapezoid_intersection_graph,
     trapezoid_orders,
 )
-from testutil import random_strict_trapezoid, search_representation_pairs
+from testutil import (
+    random_ballot_orders,
+    random_strict_trapezoid,
+    search_representation_pairs,
+    search_representation_product,
+)
 
 
 def catalan(n):
@@ -195,6 +201,7 @@ def test_enumerate_two_vertices_in_lexicographic_order():
 def test_enumerate_equal_orders_counts_catalan(n):
     order = WeakOrder.from_sequence(list(range(n)))
     assert sum(1 for _ in enumerate_interleavings(order, order)) == catalan(n)
+    assert count_interleavings(order, order) == catalan(n)
 
 
 def test_enumerate_respects_both_orders():
@@ -236,6 +243,7 @@ def test_enumerate_deeply_nested_orders():
     only = list(enumerate_interleavings(left, right))
     assert len(only) == 1
     assert only[0].coordinates() == [(v, 2 * n - 1 - v) for v in range(n)]
+    assert count_interleavings(left, right) == 1
 
 
 def test_enumerate_matches_filter_count_on_divergent_orders():
@@ -251,6 +259,27 @@ def test_enumerate_matches_filter_count_on_divergent_orders():
     ]
 
 
+def test_enumerate_yields_valid_interleavings():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        left = WeakOrder.from_sequence(rng.sample(range(n), n))
+        right = WeakOrder.from_sequence(rng.sample(range(n), n))
+        for itl in enumerate_interleavings(left, right):
+            assert itl == Interleaving(itl.events)
+
+
+def test_count_matches_enumerator_and_filter():
+    rng = random.Random(29)
+    for n in range(8):
+        for _ in range(4):
+            left = WeakOrder.from_sequence(rng.sample(range(n), n))
+            right = WeakOrder.from_sequence(rng.sample(range(n), n))
+            expected = count_interleavings_filter(left, right)
+            assert count_interleavings(left, right) == expected
+            assert sum(1 for _ in enumerate_interleavings(left, right)) == expected
+
+
 def test_enumerate_rejects_tied_orders():
     tied = WeakOrder([0, 0])
     strict = WeakOrder.from_sequence([0, 1])
@@ -260,6 +289,8 @@ def test_enumerate_rejects_tied_orders():
         enumerate_interleavings(strict, tied)
     with pytest.raises(NonStrictOrderError):
         count_interleavings_filter(strict, tied)
+    with pytest.raises(NonStrictOrderError):
+        count_interleavings(strict, tied)
 
 
 def test_enumerate_rejects_mismatched_sizes():
@@ -267,6 +298,8 @@ def test_enumerate_rejects_mismatched_sizes():
         enumerate_interleavings(WeakOrder([0]), WeakOrder.from_sequence([0, 1]))
     with pytest.raises(VertexSetMismatchError):
         count_interleavings_filter(WeakOrder([0]), WeakOrder.from_sequence([0, 1]))
+    with pytest.raises(VertexSetMismatchError):
+        count_interleavings(WeakOrder([0]), WeakOrder.from_sequence([0, 1]))
 
 
 def test_search_two_vertex_targets():
@@ -341,6 +374,42 @@ def test_search_matches_brute_force_oracle():
             assert search_representation(orders, target) == expected
             realized += expected[1] > 0
     assert 0 < realized < 270
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("family", ["ballot", "random"])
+def test_search_matches_product_oracle(family, n):
+    # Ballot orders are the benchmark's; "random" draws each line's
+    # intervals independently, as random_strict_trapezoid does.  The last
+    # target's non-edges are the pairs apart on both lines of one candidate,
+    # in either direction: pairs apart in opposite directions cross, so it
+    # tests that the join key keeps the direction of every non-edge.
+    rng = random.Random(f"{family}/{n}")
+    if family == "ballot":
+        orders, g = random_ballot_orders(rng, n)
+        c0, c1 = (rng.choice(list(enumerate_interleavings(*line))).coordinates()
+                  for line in (orders[:2], orders[2:]))
+    else:
+        c0, c1 = ([tuple(sorted(values[2 * v:2 * v + 2])) for v in range(n)]
+                  for values in (rng.sample(range(4 * n), 2 * n) for _ in range(2)))
+        t = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
+        orders, g = trapezoid_orders(t), trapezoid_intersection_graph(t)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    apart = [(u, v) for u, v in pairs
+             if all(c[u][1] < c[v][0] or c[v][1] < c[u][0] for c in (c0, c1))]
+    targets = [
+        g,
+        graph_power(g, 2),
+        Graph(n, []),
+        Graph.complete(n),
+        Graph(n, [pair for pair in pairs if rng.random() < 0.5]),
+        Graph(n, [pair for pair in pairs if pair not in apart]),
+    ]
+    for target in targets:
+        assert search_representation(orders, target) == search_representation_product(
+            orders, target
+        )
+    assert search_representation(orders, g)[1] > 0
 
 
 def test_search_recovers_random_strict_instances():

@@ -14,6 +14,7 @@ from intpow import (
     InvalidKError,
     NotProperError,
     TrapezoidRepresentation,
+    WeakOrder,
     connected_components,
     enumerate_interleavings,
     extend_representation,
@@ -177,6 +178,74 @@ def search_representation_pairs(orders, target):
                 if first is None:
                     first = candidate
     return first, matches
+
+
+def search_representation_product(orders, target):
+    """Product oracle for search_representation: every (line-0, line-1)
+    pair of interleavings, tested by one big-int compare of precedence
+    masks against the target's non-edge mask."""
+    l0, r0, l1, r1 = orders
+    n = target.n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def mask(bits):
+        return int("0" + "".join("1" if bit else "0" for bit in bits), 2)
+
+    def masks(c):
+        return (mask(c[u][1] < c[v][0] for u, v in pairs),
+                mask(c[v][1] < c[u][0] for u, v in pairs))
+
+    want = mask(not target.has_edge(u, v) for u, v in pairs)
+    line1 = [(c1, *masks(c1))
+             for c1 in (itl.coordinates() for itl in enumerate_interleavings(l1, r1))]
+    first = None
+    matches = 0
+    for itl0 in enumerate_interleavings(l0, r0):
+        c0 = itl0.coordinates()
+        before0, after0 = masks(c0)
+        for c1, before1, after1 in line1:
+            if before0 & before1 | after0 & after1 == want:
+                matches += 1
+                if first is None:
+                    first = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
+    return first, matches
+
+
+def random_ballot_orders(rng, n):
+    """A copy of the trapezoid-sweep benchmark generator: two random ballot
+    lines whose close order swaps each adjacent pair of the open order,
+    line 1 opening in line 0's order with n // 2 random adjacent swaps,
+    redrawn until the trapezoid graph G is connected with n(n-1)//4 edges.
+    Returns the strict orders (L0, R0, L1, R1) and G."""
+
+    def ballot_line(opens):
+        closes = [opens[i ^ 1] if (i ^ 1) < n else opens[i] for i in range(n)]
+        opened_at = {v: i for i, v in enumerate(opens)}
+        left, right = [0] * n, [0] * n
+        i = j = 0
+        for position in range(2 * n):
+            can_close = j < n and opened_at[closes[j]] < i
+            if i < n and (not can_close or rng.random() < 0.5):
+                left[opens[i]] = position
+                i += 1
+            else:
+                right[closes[j]] = position
+                j += 1
+        return left, right, closes
+
+    while True:
+        order0 = list(range(n))
+        order1 = list(order0)
+        for _ in range(n // 2):
+            i = rng.randrange(n - 1)
+            order1[i], order1[i + 1] = order1[i + 1], order1[i]
+        l0, r0, closes0 = ballot_line(order0)
+        l1, r1, closes1 = ballot_line(order1)
+        g = trapezoid_intersection_graph(TrapezoidRepresentation(zip(l0, r0, l1, r1)))
+        if g.m == n * (n - 1) // 4 and len(connected_components(g)) == 1:
+            break
+    orders = tuple(WeakOrder.from_sequence(seq) for seq in (order0, closes0, order1, closes1))
+    return orders, g
 
 
 def find_containment_pair_pairs(r):
