@@ -12,13 +12,9 @@ import os
 import sys
 
 from .errors import (
-    CoordinateOverflowError,
     InfeasibleConstraintsError,
-    InvalidKError,
-    InvalidVertexError,
-    NonStrictOrderError,
+    IntpowError,
     NotProperError,
-    ParseError,
     RepresentationMismatchError,
     VertexSetMismatchError,
 )
@@ -35,7 +31,6 @@ from .graphs import (
 from .intervals import (
     endpoint_orders,
     format_representation,
-    intersection_graph,
     intersection_rows,
     load_representation,
     proper_to_unit,
@@ -78,7 +73,7 @@ def cmd_extend(args):
     if args.iterate:
         steps = iterate_powers(g, r, args.k)
         # The re-check grows its own distance balls, B_1 here and B_k below.
-        balls = widen_balls(g, [1 << x for x in range(g.n)])
+        balls = g.rows
     else:
         extended, trace = extend_representation(g, args.k, r)
         steps = [(args.k, extended, trace)]
@@ -89,7 +84,7 @@ def cmd_extend(args):
             balls = widen_balls(g, balls)
             graph_ok = intersection_rows(rep) == balls
         else:
-            graph_ok = intersection_graph(rep) == graph_power(g, k)
+            graph_ok = intersection_rows(rep) == list(graph_power(g, k).rows)
         left_ok = same_orders(base_left, out_left)
         right_ok = same_orders(base_right, out_right)
         all_ok = all_ok and graph_ok and left_ok and right_ok
@@ -136,8 +131,8 @@ def cmd_verify(args):
     for name, rep in (("representation", r), (args.against, other)):
         if rep is not None and rep.n != g.n:
             raise VertexSetMismatchError(f"graph has {g.n} vertices, {name} has {rep.n}")
-    expected = graph_power_oracle(g, args.k)
-    actual = intersection_graph(r)
+    expected = list(graph_power_oracle(g, args.k).rows)
+    actual = intersection_rows(r)
     ok = actual == expected
     if ok:
         print("GRAPH: OK")
@@ -288,20 +283,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        OSError,
-        InvalidKError,
-        InvalidVertexError,
-        VertexSetMismatchError,
-        NonStrictOrderError,
-        CoordinateOverflowError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (RepresentationMismatchError, InfeasibleConstraintsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (IntpowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,12 +13,7 @@ from .errors import (
     VertexSetMismatchError,
 )
 from .graphs import bfs_distances, graph_power, widen_balls
-from .intervals import (
-    IntervalRepresentation,
-    intersection_graph,
-    intersection_rows,
-    normalize,
-)
+from .intervals import IntervalRepresentation, intersection_rows, normalize
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,7 @@ def extend_representation(g, k, r):
         raise VertexSetMismatchError(
             f"graph has {g.n} vertices, representation has {r.n}"
         )
-    expected = graph_power(g, k - 1)
-    actual = intersection_graph(r)
-    if actual != expected:
-        message, pair = _mismatch_detail(expected, actual, k - 1)
-        raise RepresentationMismatchError(message, pair)
+    _check_realizes(r, graph_power(g, k - 1).rows, k - 1)
 
     base = normalize(r)
     n = g.n
@@ -115,13 +106,25 @@ def _stretch(base, k, witness):
 
 
 def _first_difference(expected, actual):
-    """The smallest edge in only one of two graphs, and whether actual lacks it."""
-    u = next(u for u in range(expected.n) if expected.neighbors(u) != actual.neighbors(u))
-    v = min(set(expected.neighbors(u)).symmetric_difference(actual.neighbors(u)))
-    return (u, v), expected.has_edge(u, v)
+    """The smallest pair u < v set in only one of two lists of symmetric
+    adjacency rows, and whether expected holds it.
+
+    The first differing row is u: a differing bit v < u would have made
+    row v differ first.  Its lowest differing bit is v.
+    """
+    u = next(u for u, (a, b) in enumerate(zip(expected, actual)) if a != b)
+    diff = expected[u] ^ actual[u]
+    v = (diff & -diff).bit_length() - 1
+    return (u, v), bool(expected[u] >> v & 1)
 
 
-def _mismatch_detail(expected, actual, power):
+def _check_realizes(r, expected, power):
+    """Raise RepresentationMismatchError, naming the first differing pair,
+    unless the intervals of r meet exactly where the rows `expected` of
+    the power-th power say."""
+    actual = intersection_rows(r)
+    if actual == list(expected):
+        return
     (u, v), missing = _first_difference(expected, actual)
     if missing:
         message = (
@@ -135,7 +138,7 @@ def _mismatch_detail(expected, actual, power):
             f"of vertices {u + 1} and {v + 1} intersect but the vertices are "
             f"more than {power} apart"
         )
-    return message, (u, v)
+    raise RepresentationMismatchError(message, (u, v))
 
 
 def iterate_powers(g, r, k_max):
@@ -146,11 +149,12 @@ def iterate_powers(g, r, k_max):
     the endpoint orders of r.  The result, errors included, is that of
     one extend_representation call per k, but no BFS runs: two lists of
     distance balls, B_(k-1) and B_k, are carried from step to step and
-    widened by one hop per k.  Step k checks its input by comparing
-    intersection_rows with B_(k-1), and x's witness is the vertex of the
-    sphere B_k(x) minus B_(k-1)(x) with the largest left endpoint right of
-    x's, the smallest id among ties.  That costs n + 2m big-int ORs plus
-    O(n log n) per step, k_max * (n + 2m) ORs for the chain.
+    widened by one hop per k, from B_1 = g.rows.  Step k checks its input
+    by comparing intersection_rows with B_(k-1), and x's witness is the
+    vertex of the sphere B_k(x) minus B_(k-1)(x) with the largest left
+    endpoint right of x's, the smallest id among ties.  That costs n + 2m
+    big-int ORs plus O(n log n) per step, k_max * (n + 2m) ORs for the
+    chain.
     """
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
@@ -158,15 +162,11 @@ def iterate_powers(g, r, k_max):
         raise VertexSetMismatchError(
             f"graph has {g.n} vertices, representation has {r.n}"
         )
-    inner = widen_balls(g, [1 << x for x in range(g.n)])
+    inner = g.rows
     chain = []
     current = r
     for k in range(2, k_max + 1):
-        if intersection_rows(current) != inner:
-            message, pair = _mismatch_detail(
-                graph_power(g, k - 1), intersection_graph(current), k - 1
-            )
-            raise RepresentationMismatchError(message, pair)
+        _check_realizes(current, inner, k - 1)
         outer = widen_balls(g, inner)
         base = normalize(current)
         lefts = [left for left, _ in base.intervals]

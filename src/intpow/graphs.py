@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import _records
-from .errors import InvalidKError, InvalidVertexError, ParseError
+from .errors import InvalidKError, InvalidVertexError, ParseError, VertexSetMismatchError
 
 # Marker for vertices not reachable from the BFS source.
 UNREACHABLE = None
@@ -28,11 +28,12 @@ class Graph:
 
     The edges are stored once, as a sorted tuple of neighbours per vertex;
     `edge_set` builds a frozenset of the pairs (u, v), u < v, on each read,
-    in O(m).  The dense BFS caches adjacency bitmasks in a private slot
-    that equality and hashing ignore.
+    in O(m).  `rows` holds the same adjacency as closed-neighbourhood
+    bitmasks, the form in which the package compares adjacency; it is built
+    on first read, kept, and ignored by equality and hashing.
     """
 
-    __slots__ = ("n", "_adjacency", "_m", "_masks")
+    __slots__ = ("n", "_adjacency", "_m", "_rows")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -54,7 +55,7 @@ class Graph:
         self.n = n
         self._adjacency = tuple(map(tuple, adjacency))
         self._m = sum(map(len, adjacency)) // 2
-        self._masks = None
+        self._rows = None
 
     @classmethod
     def path(cls, n):
@@ -72,6 +73,21 @@ class Graph:
     @property
     def edge_set(self):
         return frozenset((u, v) for u, row in enumerate(self._adjacency) for v in row if u < v)
+
+    @property
+    def rows(self):
+        """Closed neighbourhoods as bitmasks: bit y of rows[x] is set iff
+        x == y or x and y are adjacent.  One n-bit OR per adjacency entry on
+        the first read, kept for later reads."""
+        if self._rows is None:
+            rows = []
+            for x, nbrs in enumerate(self._adjacency):
+                row = 1 << x
+                for w in nbrs:
+                    row |= 1 << w
+                rows.append(row)
+            self._rows = tuple(rows)
+        return self._rows
 
     def neighbors(self, v):
         if not 0 <= v < self.n:
@@ -101,21 +117,19 @@ def bfs_distances(g, source):
 
     Returns a list indexed by vertex; vertices in other components get
     UNREACHABLE (None).  Graphs of average degree BITSET_MIN_AVERAGE_DEGREE
-    or more are searched level by level over adjacency bitmasks: one
-    n-bit OR per reached vertex, after one n-bit add per adjacency entry to
-    build the masks once per graph.  Sparser graphs are searched with a
-    queue over adjacency lists, O(n + m) per call.
+    or more are searched level by level over `g.rows`: one n-bit OR per
+    reached vertex, after one n-bit OR per adjacency entry to build the
+    rows once per graph.  Sparser graphs are searched with a queue over
+    adjacency lists, O(n + m) per call.
     """
     if not 0 <= source < g.n:
         raise InvalidVertexError(f"vertex {source} out of range for {g.n} vertices")
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
     if 2 * g.m >= BITSET_MIN_AVERAGE_DEGREE * g.n:
-        masks = g._masks
-        if masks is None:
-            masks = g._masks = tuple(sum(1 << w for w in nbrs) for nbrs in g._adjacency)
+        rows = g.rows
         seen = 1 << source
-        frontier = masks[source]
+        frontier = rows[source] ^ seen
         level = 0
         while frontier:
             level += 1
@@ -125,7 +139,7 @@ def bfs_distances(g, source):
                 low = frontier & -frontier
                 v = low.bit_length() - 1
                 dist[v] = level
-                reach |= masks[v]
+                reach |= rows[v]
                 frontier ^= low
             frontier = reach & ~seen
         return dist
@@ -143,11 +157,12 @@ def bfs_distances(g, source):
 def widen_balls(g, balls):
     """Grow distance balls by one hop.
 
-    balls[x] is the bitmask of the vertices within distance j of x, as
-    from j widenings of [1 << x for x in range(g.n)]; the result holds
-    those within j + 1.  One big-int OR per vertex and per adjacency
-    entry, n + 2m in all.
+    balls[x] is the bitmask of the vertices within distance j of x, as in
+    g.rows for j = 1; the result holds those within j + 1.  One big-int OR
+    per vertex and per adjacency entry, n + 2m in all.
     """
+    if len(balls) != g.n:
+        raise VertexSetMismatchError(f"graph has {g.n} vertices, {len(balls)} balls given")
     wider = []
     for row, nbrs in zip(balls, g._adjacency):
         for z in nbrs:

@@ -283,9 +283,9 @@ def search_representation(orders, target):
     # `edges` each edge in both directions.
     full = (1 << n) - 1
     want = forward = edges = 0
-    for u in range(n):
-        adjacent = sum(1 << w for w in target.neighbors(u))
-        apart = full ^ (1 << u) ^ adjacent
+    for u, row in enumerate(target.rows):
+        adjacent = row ^ (1 << u)
+        apart = full ^ row
         want |= apart << (n * u)
         forward |= (apart >> (u + 1)) << (n * u + u + 1)
         edges |= adjacent << (n * u)

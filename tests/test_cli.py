@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from intpow import (
+    ExtensionTrace,
     Graph,
     IntervalRepresentation,
     TrapezoidRepresentation,
@@ -184,6 +185,28 @@ def test_extend_rejects_non_realizing_representation(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error:") and "1" in stderr and "2" in stderr
+
+
+def test_extend_recheck_reports_mismatch(tmp_path, capsys, monkeypatch):
+    # An extension that hands back its input realizes P5 but none of its
+    # powers, so the re-check flags every step, single and chained.
+    def unchanged(g, k, r):
+        rights = tuple(right for _, right in r.intervals)
+        return r, ExtensionTrace(k=k, scale=1, witness=(None,) * r.n, new_right=rights)
+
+    def unchanged_chain(g, r, k_max):
+        return [(k, *unchanged(g, k, r)) for k in range(2, k_max + 1)]
+
+    monkeypatch.setattr("intpow.cli.extend_representation", unchanged)
+    monkeypatch.setattr("intpow.cli.iterate_powers", unchanged_chain)
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    step = "K: {}\nSCALE: 1\nGRAPH: MISMATCH\nORDER_L: PRESERVED\nORDER_R: PRESERVED\n"
+    for argv, ks in ((["2"], [2]), (["3", "--iterate"], [2, 3])):
+        code, stdout, stderr = run(capsys, "extend", graph, rep, *argv)
+        assert code == 1
+        assert stdout == "".join(step.format(k) for k in ks) + "RESULT: FAIL\n"
+        assert stderr == ""
 
 
 def test_extend_rejects_k_below_two(tmp_path, capsys):

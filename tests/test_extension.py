@@ -26,7 +26,9 @@ from intpow import (
     parse_trace,
     same_orders,
 )
+from intpow.extension import _first_difference
 from testutil import (
+    first_difference_graphs,
     iterate_powers_chained,
     random_connected_representation,
     random_graph,
@@ -105,6 +107,31 @@ def test_mismatch_names_smallest_differing_pair(r, rnd):
     pair = min(expected ^ actual)
     assert err.value.pair == pair
     assert str(err.value).endswith("disjoint") == (pair in expected)
+
+
+def test_first_difference_matches_graph_oracle():
+    # Random graph pairs on n = 1..30, and pairs one edge apart, each taken
+    # in both directions: the rows version names the same pair and flag as
+    # the Graph-based oracle.
+    rng = random.Random(37)
+    flags = set()
+    for n in range(1, 31):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for _ in range(4):
+            p = rng.uniform(0.05, 0.95)
+            a = {e for e in pairs if rng.random() < p}
+            b = {e for e in pairs if rng.random() < p}
+            cases = [(a, b)]
+            if pairs:
+                cases.append((a, a ^ {rng.choice(pairs)}))
+            for x, y in cases:
+                for expected, actual in ((Graph(n, x), Graph(n, y)), (Graph(n, y), Graph(n, x))):
+                    if expected == actual:
+                        continue
+                    found = _first_difference(list(expected.rows), list(actual.rows))
+                    assert found == first_difference_graphs(expected, actual)
+                    flags.add(found[1])
+    assert flags == {False, True}
 
 
 def test_left_endpoints_are_scaled_normalized_lefts():

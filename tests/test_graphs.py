@@ -10,6 +10,7 @@ from intpow import (
     InvalidVertexError,
     ParseError,
     UNREACHABLE,
+    VertexSetMismatchError,
     bfs_distances,
     connected_components,
     format_graph,
@@ -182,7 +183,7 @@ def test_both_bfs_paths_match_floyd_warshall():
         dist = floyd_warshall(g)
         for source in range(n):
             assert bfs_distances(g, source) == dist[source]
-        assert (g._masks is not None) == dense
+        assert (g._rows is not None) == dense
         for k in (1, 2, 3, 4):
             assert graph_power(g, k) == graph_power_oracle(g, k)
     assert paths_hit == {False, True}
@@ -191,7 +192,8 @@ def test_both_bfs_paths_match_floyd_warshall():
 def test_widen_balls_match_floyd_warshall_and_bfs():
     # Dense and sparse graphs, block graphs with isolated vertices, and
     # n = 0 and n = 1: ball j must hold exactly the vertices within
-    # distance j, for every j up to one past the diameter.
+    # distance j, for every j up to one past the diameter, and ball 1 must
+    # equal g.rows.
     rng = random.Random(29)
     cases = [Graph(0), Graph(1), Graph.path(7)]
     cases += [random_graph(rng, max_n=14, edge_prob=p) for p in (0.1, 0.3, 0.9) for _ in range(4)]
@@ -209,7 +211,27 @@ def test_widen_balls_match_floyd_warshall_and_bfs():
                 for row in dist
             ]
             assert balls == expected, (g, j)
+            if j == 1:
+                assert list(g.rows) == expected, g
             balls = widen_balls(g, balls)
+
+
+def test_widen_balls_rejects_wrong_length():
+    g = Graph.path(3)
+    for balls in ([1, 2, 4, 8], [1]):
+        with pytest.raises(VertexSetMismatchError, match="graph has 3 vertices"):
+            widen_balls(g, balls)
+
+
+def test_reading_rows_keeps_equality_and_hash():
+    g, h = Graph.path(6), Graph.path(6)
+    before = hash(g)
+    assert g.rows is g.rows
+    assert g == h and h == g
+    assert hash(g) == hash(h) == before
+    assert g != Graph(6, [(0, 1)]) and Graph(6, [(0, 1)]) != g
+    with pytest.raises(AttributeError):
+        g.rows = ()
 
 
 def test_components_p5():

@@ -148,6 +148,14 @@ def intersection_graph_pairs(r):
     return Graph(r.n, edges)
 
 
+def first_difference_graphs(expected, actual):
+    """Graph oracle for the rows-based first difference: the smallest edge
+    in only one of two graphs, and whether expected has it."""
+    u = next(u for u in range(expected.n) if expected.neighbors(u) != actual.neighbors(u))
+    v = min(set(expected.neighbors(u)).symmetric_difference(actual.neighbors(u)))
+    return (u, v), expected.has_edge(u, v)
+
+
 def iterate_powers_chained(g, r, k_max):
     """Chain oracle for iterate_powers: one extend_representation call per
     k, each validating its input and finding witnesses by BFS."""
