@@ -6,140 +6,15 @@ orders, converts proper representations to unit length, and searches
 trapezoid realizations with prescribed endpoint orders exhaustively.
 """
 
-from .errors import (
-    CoordinateOverflowError,
-    InfeasibleConstraintsError,
-    IntpowError,
-    InvalidKError,
-    InvalidVertexError,
-    NonStrictOrderError,
-    NotProperError,
-    ParseError,
-    RepresentationMismatchError,
-    VertexSetMismatchError,
-)
-from .extension import (
-    ExtensionTrace,
-    extend_representation,
-    format_trace,
-    iterate_powers,
-    load_trace,
-    parse_trace,
-    save_trace,
-)
-from .graphs import (
-    UNREACHABLE,
-    Graph,
-    bfs_distances,
-    connected_components,
-    format_graph,
-    graph_power,
-    graph_power_oracle,
-    load_graph,
-    parse_graph,
-    save_graph,
-    widen_balls,
-)
-from .intervals import (
-    IntervalRepresentation,
-    WeakOrder,
-    endpoint_orders,
-    find_containment_pair,
-    format_representation,
-    intersection_graph,
-    intersection_rows,
-    is_proper,
-    load_representation,
-    normalize,
-    parse_representation,
-    proper_to_unit,
-    same_orders,
-    save_representation,
-)
-from .trapezoids import (
-    LEFT,
-    RIGHT,
-    Interleaving,
-    TrapezoidRepresentation,
-    count_interleavings,
-    count_interleavings_filter,
-    enumerate_interleavings,
-    format_orders,
-    format_trapezoid,
-    load_orders,
-    load_trapezoid,
-    p5_representation,
-    parse_orders,
-    parse_trapezoid,
-    save_orders,
-    save_trapezoid,
-    search_representation,
-    trapezoid_intersection_graph,
-    trapezoid_orders,
-)
+from . import errors, extension, graphs, intervals, trapezoids
+from .errors import *
+from .extension import *
+from .graphs import *
+from .intervals import *
+from .trapezoids import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoordinateOverflowError",
-    "ExtensionTrace",
-    "Graph",
-    "InfeasibleConstraintsError",
-    "Interleaving",
-    "IntervalRepresentation",
-    "IntpowError",
-    "InvalidKError",
-    "InvalidVertexError",
-    "LEFT",
-    "NonStrictOrderError",
-    "NotProperError",
-    "ParseError",
-    "RIGHT",
-    "RepresentationMismatchError",
-    "TrapezoidRepresentation",
-    "UNREACHABLE",
-    "VertexSetMismatchError",
-    "WeakOrder",
-    "bfs_distances",
-    "connected_components",
-    "count_interleavings",
-    "count_interleavings_filter",
-    "endpoint_orders",
-    "enumerate_interleavings",
-    "extend_representation",
-    "find_containment_pair",
-    "format_graph",
-    "format_orders",
-    "format_representation",
-    "format_trace",
-    "format_trapezoid",
-    "graph_power",
-    "graph_power_oracle",
-    "intersection_graph",
-    "intersection_rows",
-    "is_proper",
-    "iterate_powers",
-    "load_graph",
-    "load_orders",
-    "load_representation",
-    "load_trace",
-    "load_trapezoid",
-    "normalize",
-    "p5_representation",
-    "parse_graph",
-    "parse_orders",
-    "parse_representation",
-    "parse_trace",
-    "parse_trapezoid",
-    "proper_to_unit",
-    "same_orders",
-    "save_graph",
-    "save_orders",
-    "save_representation",
-    "save_trace",
-    "save_trapezoid",
-    "search_representation",
-    "trapezoid_intersection_graph",
-    "trapezoid_orders",
-    "widen_balls",
-]
+__all__ = sorted(
+    errors.__all__ + extension.__all__ + graphs.__all__ + intervals.__all__ + trapezoids.__all__
+)

@@ -4,8 +4,6 @@ lines ignored, 1-based vertex ids, LF line endings on write.  Records are
 checked lazily in file order, so the first bad line is the one reported.
 """
 
-from __future__ import annotations
-
 from .errors import ParseError
 
 

@@ -4,8 +4,6 @@ Exit codes: 0 all requested checks passed, 1 a verification failed,
 2 usage or input error.  Reports are line-oriented "KEY: value" pairs.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os

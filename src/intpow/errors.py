@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CoordinateOverflowError",
+    "InfeasibleConstraintsError",
+    "IntpowError",
+    "InvalidKError",
+    "InvalidVertexError",
+    "NonStrictOrderError",
+    "NotProperError",
+    "ParseError",
+    "RepresentationMismatchError",
+    "VertexSetMismatchError",
+]
+
 
 class IntpowError(Exception):
     """Base class for every error raised by this package."""

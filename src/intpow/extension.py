@@ -1,9 +1,7 @@
 """Order-preserving extension of an interval representation of one graph
 power to the next."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _records
 from .errors import (
@@ -15,9 +13,18 @@ from .errors import (
 from .graphs import bfs_distances, graph_power, widen_balls
 from .intervals import IntervalRepresentation, intersection_rows, normalize
 
+__all__ = [
+    "ExtensionTrace",
+    "extend_representation",
+    "format_trace",
+    "iterate_powers",
+    "load_trace",
+    "parse_trace",
+    "save_trace",
+]
 
-@dataclass(frozen=True)
-class ExtensionTrace:
+
+class ExtensionTrace(namedtuple("ExtensionTrace", "k scale witness new_right")):
     """Audit record of a single extension step.
 
     scale is the factor applied to the normalized input coordinates.
@@ -27,10 +34,7 @@ class ExtensionTrace:
     output coordinates.
     """
 
-    k: int
-    scale: int
-    witness: tuple
-    new_right: tuple
+    __slots__ = ()
 
 
 def extend_representation(g, k, r):

@@ -1,9 +1,21 @@
 """Simple undirected graphs, hop distances, and graph powers."""
 
-from __future__ import annotations
-
 from . import _records
 from .errors import InvalidKError, InvalidVertexError, ParseError, VertexSetMismatchError
+
+__all__ = [
+    "Graph",
+    "UNREACHABLE",
+    "bfs_distances",
+    "connected_components",
+    "format_graph",
+    "graph_power",
+    "graph_power_oracle",
+    "load_graph",
+    "parse_graph",
+    "save_graph",
+    "widen_balls",
+]
 
 # Marker for vertices not reachable from the BFS source.
 UNREACHABLE = None

@@ -1,8 +1,6 @@
 """Interval representations: intersection graphs, endpoint orders, and
 the proper / unit transformations."""
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from math import inf
 
@@ -16,6 +14,23 @@ from .errors import (
     VertexSetMismatchError,
 )
 from .graphs import Graph
+
+__all__ = [
+    "IntervalRepresentation",
+    "WeakOrder",
+    "endpoint_orders",
+    "find_containment_pair",
+    "format_representation",
+    "intersection_graph",
+    "intersection_rows",
+    "is_proper",
+    "load_representation",
+    "normalize",
+    "parse_representation",
+    "proper_to_unit",
+    "same_orders",
+    "save_representation",
+]
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -227,9 +242,9 @@ def normalize(r):
 
 
 def is_proper(r):
-    """Whether the left and right endpoint orders coincide."""
-    left_order, right_order = endpoint_orders(r)
-    return same_orders(left_order, right_order)
+    """Whether the left and right endpoint orders coincide, that is,
+    whether no interval properly contains another."""
+    return find_containment_pair(r) is None
 
 
 def find_containment_pair(r):
@@ -237,14 +252,14 @@ def find_containment_pair(r):
 
     u is the smallest id that properly contains any interval and v the
     smallest id it contains.  Returns None when no proper containment
-    exists, which happens exactly when the representation is proper.
+    exists.  The left and right endpoint orders coincide exactly then:
+    two intervals ordered differently by their ends, ties included, are
+    nested, and nested distinct intervals are ordered differently.
     O(n log n): u contains some v iff an interval with a greater left
     endpoint ends no later, or one with the same left endpoint ends
     earlier, so one minimum of rights per left value and their suffix
     minima find u, and one pass finds v.
     """
-    if is_proper(r):
-        return None
     nearest = {}  # left -> smallest right among the intervals opening there
     for left, right in r.intervals:
         if right < nearest.get(left, inf):
@@ -255,9 +270,12 @@ def find_containment_pair(r):
         beyond[left] = least
         least = min(least, nearest[left])
     u = next(
-        u for u, (left, right) in enumerate(r.intervals)
-        if beyond[left] <= right or nearest[left] < right
+        (u for u, (left, right) in enumerate(r.intervals)
+         if beyond[left] <= right or nearest[left] < right),
+        None,
     )
+    if u is None:
+        return None
     lu, ru = r.intervals[u]
     v = next(
         v for v, (lv, rv) in enumerate(r.intervals)

@@ -1,14 +1,34 @@
 """Trapezoid representations on two parallel lines and the exhaustive
 search over endpoint interleavings."""
 
-from __future__ import annotations
-
 import itertools
 
 from . import _records
 from .errors import ParseError, VertexSetMismatchError
 from .graphs import Graph
 from .intervals import WeakOrder
+
+__all__ = [
+    "Interleaving",
+    "LEFT",
+    "RIGHT",
+    "TrapezoidRepresentation",
+    "count_interleavings",
+    "count_interleavings_filter",
+    "enumerate_interleavings",
+    "format_orders",
+    "format_trapezoid",
+    "load_orders",
+    "load_trapezoid",
+    "p5_representation",
+    "parse_orders",
+    "parse_trapezoid",
+    "save_orders",
+    "save_trapezoid",
+    "search_representation",
+    "trapezoid_intersection_graph",
+    "trapezoid_orders",
+]
 
 LEFT = "L"
 RIGHT = "R"

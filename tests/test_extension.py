@@ -367,3 +367,19 @@ def test_trace_is_frozen():
     trace = ExtensionTrace(k=2, scale=3, witness=(None,), new_right=(6,))
     with pytest.raises(AttributeError):
         trace.k = 3
+    with pytest.raises(AttributeError):
+        trace.extra = 3
+
+
+def test_trace_construction_repr_equality_and_hash():
+    _, trace = extend_representation(P5, 2, P5_REP)
+    assert repr(trace) == (
+        "ExtensionTrace(k=2, scale=6, witness=(2, 3, 4, None, None), "
+        "new_right=(19, 31, 43, 48, 54))"
+    )
+    fields = (2, 6, (2, 3, 4, None, None), (19, 31, 43, 48, 54))
+    assert (trace.k, trace.scale, trace.witness, trace.new_right) == fields
+    positional = ExtensionTrace(*fields)
+    assert positional == trace
+    assert hash(positional) == hash(trace) == hash(fields)
+    assert trace != ExtensionTrace(*fields[:3], (19, 31, 43, 48, 55))
