@@ -19,6 +19,7 @@ from .errors import (
 from .extension import _first_difference, extend_representation, iterate_powers, save_trace
 from .graphs import (
     Graph,
+    _power_rows,
     format_graph,
     graph_power,
     graph_power_oracle,
@@ -70,19 +71,16 @@ def cmd_extend(args):
     base_left, base_right = endpoint_orders(r)
     if args.iterate:
         steps = iterate_powers(g, r, args.k)
-        # The re-check grows its own distance balls, B_1 here and B_k below.
+        # The re-check builds its own rows of each power: balls widened
+        # from B_1 here, or n BFS runs per step without --iterate.
         balls = g.rows
     else:
-        extended, trace = extend_representation(g, args.k, r)
-        steps = [(args.k, extended, trace)]
+        steps = [(args.k, *extend_representation(g, args.k, r))]
     all_ok = True
     for k, rep, trace in steps:
         out_left, out_right = endpoint_orders(rep)
-        if args.iterate:
-            balls = widen_balls(g, balls)
-            graph_ok = intersection_rows(rep) == balls
-        else:
-            graph_ok = intersection_rows(rep) == list(graph_power(g, k).rows)
+        balls = widen_balls(g, balls) if args.iterate else _power_rows(g, k)
+        graph_ok = intersection_rows(rep) == balls
         left_ok = same_orders(base_left, out_left)
         right_ok = same_orders(base_right, out_right)
         all_ok = all_ok and graph_ok and left_ok and right_ok

@@ -15,7 +15,14 @@ __all__ = [
 
 
 class IntpowError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for the errors this package raises on its inputs.
+
+    The value constructors raise plain ValueError for malformed
+    arguments: Graph (a self-loop, a duplicate edge or n < 0),
+    IntervalRepresentation (a left endpoint above its right one),
+    WeakOrder, TrapezoidRepresentation and Interleaving.  A vertex id out
+    of range raises InvalidVertexError, in Graph too.
+    """
 
 
 class ParseError(IntpowError):

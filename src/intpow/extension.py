@@ -10,7 +10,7 @@ from .errors import (
     RepresentationMismatchError,
     VertexSetMismatchError,
 )
-from .graphs import bfs_distances, graph_power, widen_balls
+from .graphs import _power_rows, widen_balls
 from .intervals import IntervalRepresentation, intersection_rows, normalize
 
 __all__ = [
@@ -49,6 +49,9 @@ def extend_representation(g, k, r):
     laid out by the order of their original right endpoints, so both
     endpoint orders survive.
 
+    The input is checked against rows of the (k-1)-th power and the
+    witnesses are read from rows of the k-th, each built from n BFS runs.
+
     Returns the new representation and an ExtensionTrace.
     """
     if k < 2:
@@ -57,34 +60,37 @@ def extend_representation(g, k, r):
         raise VertexSetMismatchError(
             f"graph has {g.n} vertices, representation has {r.n}"
         )
-    _check_realizes(r, graph_power(g, k - 1).rows, k - 1)
-
-    base = normalize(r)
-    n = g.n
-    witness = [None] * n
-    # Largest left endpoint first, smallest id first among equal ones: the
-    # first vertex exactly k away in this list, if it starts right of x, is
-    # the witness of x.
-    lefts = [left for left, _ in base.intervals]
-    by_left = sorted(range(n), key=lambda y: (-lefts[y], y))
-    for x in range(n):
-        dist = bfs_distances(g, x)
-        for y in by_left:
-            if lefts[y] <= lefts[x]:
-                break
-            if dist[y] == k:
-                witness[x] = y
-                break
-    return _stretch(base, k, witness)
+    inner = _power_rows(g, k - 1)
+    _check_realizes(r, inner, k - 1)
+    return _step(r, k, inner, _power_rows(g, k))
 
 
-def _stretch(base, k, witness):
-    """Scale a normalized representation by n + 1 and move the right end
-    of every x with a witness into the gap after the witness's left end.
+def _step(current, k, inner, outer):
+    """One extension step: from a representation that realizes the rows
+    inner of G^(k-1), one of the rows outer of G^k, and its trace.
 
+    x's witness is the vertex of the sphere outer[x] minus inner[x] with
+    the largest left endpoint right of x's, the smallest id among ties.
+    The normalized input is scaled by n + 1, and the right end of every x
+    with a witness moves into the gap after the witness's left end.
     Vertices stretched into the same gap are laid out by the order of
     their original right endpoints, so both endpoint orders survive.
     """
+    base = normalize(current)
+    lefts = [left for left, _ in base.intervals]
+    witness = []
+    for x, left_x in enumerate(lefts):
+        best, best_left = None, left_x
+        sphere = outer[x] & ~inner[x]
+        while sphere:
+            low = sphere & -sphere
+            y = low.bit_length() - 1
+            # Ids ascend, so a strict test keeps the smallest among ties.
+            if lefts[y] > best_left:
+                best, best_left = y, lefts[y]
+            sphere ^= low
+        witness.append(best)
+
     n = base.n
     scale = n + 1
     new_right = [scale * base.right(x) for x in range(n)]
@@ -154,11 +160,10 @@ def iterate_powers(g, r, k_max):
     one extend_representation call per k, but no BFS runs: two lists of
     distance balls, B_(k-1) and B_k, are carried from step to step and
     widened by one hop per k, from B_1 = g.rows.  Step k checks its input
-    by comparing intersection_rows with B_(k-1), and x's witness is the
-    vertex of the sphere B_k(x) minus B_(k-1)(x) with the largest left
-    endpoint right of x's, the smallest id among ties.  That costs n + 2m
-    big-int ORs plus O(n log n) per step, k_max * (n + 2m) ORs for the
-    chain.
+    by comparing intersection_rows with B_(k-1) and takes its witnesses
+    from the spheres B_k(x) minus B_(k-1)(x), as extend_representation
+    does.  That costs n + 2m big-int ORs plus O(n log n) per step,
+    k_max * (n + 2m) ORs for the chain.
     """
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
@@ -172,21 +177,7 @@ def iterate_powers(g, r, k_max):
     for k in range(2, k_max + 1):
         _check_realizes(current, inner, k - 1)
         outer = widen_balls(g, inner)
-        base = normalize(current)
-        lefts = [left for left, _ in base.intervals]
-        witness = []
-        for x, left_x in enumerate(lefts):
-            best, best_left = None, left_x
-            sphere = outer[x] & ~inner[x]
-            while sphere:
-                low = sphere & -sphere
-                y = low.bit_length() - 1
-                # Ids ascend, so a strict test keeps the smallest among ties.
-                if lefts[y] > best_left:
-                    best, best_left = y, lefts[y]
-                sphere ^= low
-            witness.append(best)
-        current, trace = _stretch(base, k, witness)
+        current, trace = _step(current, k, inner, outer)
         chain.append((k, current, trace))
         inner = outer
     return chain

@@ -183,6 +183,20 @@ def widen_balls(g, balls):
     return wider
 
 
+def _power_rows(g, k):
+    """Closed rows of the k-th power of g: bit y of the row of x is set iff
+    y is within distance k of x.  One bfs_distances call per vertex, whose
+    reversed distances are packed into an int as binary digits.
+    """
+    # Distances never exceed n - 1, so a table over 0..n-1 serves any k.
+    digit = {d: "1" if d <= k else "0" for d in range(g.n)}
+    digit[UNREACHABLE] = "0"
+    return [
+        int("".join(map(digit.__getitem__, reversed(bfs_distances(g, x)))), 2)
+        for x in range(g.n)
+    ]
+
+
 def graph_power(g, k):
     """The k-th power of g: an edge for every pair at distance 1..k."""
     if k < 1:
@@ -203,7 +217,8 @@ def graph_power_oracle(g, k):
     Takes the k-fold product of (adjacency OR identity) and strips the
     diagonal.  Rows are bitmask integers, so this is a dense-matrix route
     with no code shared with the BFS implementation; intended for
-    cross-checks at small n.
+    cross-checks at small n.  No distance exceeds n - 1, so at most n - 1
+    products are taken whatever k is.
     """
     if k < 1:
         raise InvalidKError(f"graph power requires k >= 1, got {k}")
@@ -213,7 +228,7 @@ def graph_power_oracle(g, k):
         base[u] |= 1 << v
         base[v] |= 1 << u
     result = [1 << i for i in range(n)]
-    for _ in range(k):
+    for _ in range(min(k, n - 1)):
         result = [_row_times_matrix(row, base) for row in result]
     edges = []
     for u in range(n):

@@ -29,6 +29,7 @@ from intpow import (
 from intpow.extension import _first_difference
 from testutil import (
     first_difference_graphs,
+    floyd_warshall,
     iterate_powers_chained,
     random_connected_representation,
     random_graph,
@@ -189,21 +190,36 @@ def test_witness_ties_pick_the_smallest_id():
     assert trace.witness == (2, None, None, None)
 
 
+def _rightmost_witnesses(dist, k, previous):
+    """Per x, the vertex exactly k away by dist that starts right of x in
+    normalize(previous), the largest left endpoint first, then the
+    smallest id."""
+    base = normalize(previous)
+    witness = []
+    for x, row in enumerate(dist):
+        candidates = [
+            (-base.left(y), y) for y, d in enumerate(row)
+            if d == k and base.left(y) > base.left(x)
+        ]
+        witness.append(min(candidates)[1] if candidates else None)
+    return tuple(witness)
+
+
 def test_witness_is_the_rightmost_then_smallest_id():
+    """Every step of a chain to G^5, and single steps at k = 2, 3 and 4 on
+    chain members, against witnesses picked from Floyd-Warshall distances."""
     rng = random.Random(43)
     for _ in range(60):
         r = random_connected_representation(rng, max_n=14, coord_max=12)
         g = intersection_graph(r)
-        _, trace = extend_representation(g, 2, r)
-        base = normalize(r)
-        for x in range(g.n):
-            dist = bfs_distances(g, x)
-            candidates = [
-                (-base.left(y), y) for y in range(g.n)
-                if dist[y] == 2 and base.left(y) > base.left(x)
-            ]
-            expected = min(candidates)[1] if candidates else None
-            assert trace.witness[x] == expected
+        dist = floyd_warshall(g)
+        chain = iterate_powers(g, r, 5)
+        inputs = [r, *(rep for _, rep, _ in chain)]
+        for previous, (k, _, trace) in zip(inputs, chain):
+            assert trace.witness == _rightmost_witnesses(dist, k, previous)
+        for k in (2, 3, 4):
+            _, trace = extend_representation(g, k, inputs[k - 2])
+            assert trace.witness == _rightmost_witnesses(dist, k, inputs[k - 2])
 
 
 def test_iterate_powers_p5_chain():

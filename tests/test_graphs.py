@@ -19,7 +19,7 @@ from intpow import (
     parse_graph,
     widen_balls,
 )
-from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE
+from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE, _power_rows
 from testutil import (
     ReferenceGraph,
     edge_lists,
@@ -40,6 +40,9 @@ def test_graph_basic_accessors():
     assert g.neighbors(1) == (0, 2)
     assert g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
+    for v in (3, -1):
+        with pytest.raises(InvalidVertexError, match=f"vertex {v} out of range for 3 vertices"):
+            g.neighbors(v)
 
 
 def test_graph_rejects_bad_edges():
@@ -145,7 +148,11 @@ def test_power_disconnected_stays_disconnected():
 
 
 def test_oracle_matches_on_named_cases():
+    # k = 10**9 returns at once: the oracle stops after n - 1 products.
     cases = [(P5, 2), (P5, 3), (Graph.complete(2), 5), (Graph(3), 3), (Graph(1), 1)]
+    cases.append((Graph.path(6), 10**9))
+    split = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    cases += [(split, k) for k in (5, 6, 10**9)]
     for g, k in cases:
         assert graph_power(g, k) == graph_power_oracle(g, k)
 
@@ -192,8 +199,8 @@ def test_both_bfs_paths_match_floyd_warshall():
 def test_widen_balls_match_floyd_warshall_and_bfs():
     # Dense and sparse graphs, block graphs with isolated vertices, and
     # n = 0 and n = 1: ball j must hold exactly the vertices within
-    # distance j, for every j up to one past the diameter, and ball 1 must
-    # equal g.rows.
+    # distance j, for every j up to one past the diameter and for 10**9,
+    # both widened and packed from BFS, and ball 1 must equal g.rows.
     rng = random.Random(29)
     cases = [Graph(0), Graph(1), Graph.path(7)]
     cases += [random_graph(rng, max_n=14, edge_prob=p) for p in (0.1, 0.3, 0.9) for _ in range(4)]
@@ -205,12 +212,13 @@ def test_widen_balls_match_floyd_warshall_and_bfs():
         assert dist == [bfs_distances(g, source) for source in range(g.n)]
         diameter = max((d for row in dist for d in row if d is not None), default=0)
         balls = [1 << x for x in range(g.n)]
-        for j in range(diameter + 2):
+        for j in [*range(diameter + 2), 10**9]:
             expected = [
                 sum(1 << y for y, d in enumerate(row) if d is not None and d <= j)
                 for row in dist
             ]
             assert balls == expected, (g, j)
+            assert _power_rows(g, j) == expected, (g, j)
             if j == 1:
                 assert list(g.rows) == expected, g
             balls = widen_balls(g, balls)

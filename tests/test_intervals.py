@@ -133,6 +133,9 @@ def test_weak_order_validation_and_compare():
 def test_weak_order_from_sequence():
     order = WeakOrder.from_sequence([2, 0, 1])
     assert order.strict_sequence() == [2, 0, 1]
+    with pytest.raises(ValueError) as info:
+        WeakOrder.from_sequence([0, 0])
+    assert type(info.value) is ValueError
 
 
 def test_same_orders_examples():

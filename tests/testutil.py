@@ -158,7 +158,11 @@ def first_difference_graphs(expected, actual):
 
 def iterate_powers_chained(g, r, k_max):
     """Chain oracle for iterate_powers: one extend_representation call per
-    k, each validating its input and finding witnesses by BFS."""
+    k, each building its rows of G^(k-1) and G^k from BFS distances where
+    iterate_powers widens balls.  Both run the same witness step, so a
+    comparison checks the two ball sources; the witness rule itself is
+    checked against Floyd-Warshall distances by
+    test_witness_is_the_rightmost_then_smallest_id."""
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
     chain = []
