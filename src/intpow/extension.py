@@ -1,6 +1,7 @@
 """Order-preserving extension of an interval representation of one graph
 power to the next."""
 
+from bisect import bisect_right
 from collections import namedtuple
 
 from . import _records
@@ -78,10 +79,18 @@ def _step(current, k, inner, outer):
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
+    # right_of[bisect_right(sorted_lefts, l)]: the vertices whose left
+    # endpoint lies right of l, the only ones that can be witnesses.
+    by_left = sorted(range(base.n), key=lefts.__getitem__)
+    sorted_lefts = [lefts[v] for v in by_left]
+    right_of = [0]
+    for v in reversed(by_left):
+        right_of.append(right_of[-1] | 1 << v)
+    right_of.reverse()
     witness = []
     for x, left_x in enumerate(lefts):
         best, best_left = None, left_x
-        sphere = outer[x] & ~inner[x]
+        sphere = outer[x] & ~inner[x] & right_of[bisect_right(sorted_lefts, left_x)]
         while sphere:
             low = sphere & -sphere
             y = low.bit_length() - 1

@@ -2,6 +2,7 @@
 search over endpoint interleavings."""
 
 import itertools
+from bisect import bisect_right
 
 from . import _records
 from .errors import ParseError, VertexSetMismatchError
@@ -278,70 +279,136 @@ def search_representation(orders, target):
     scanned in lexicographic order, line 0 outermost.
 
     A pair realizes the target exactly when every non-edge is disjoint on
-    both lines in the same direction and no edge is.  So each line keeps
-    only the interleavings on which every non-edge is disjoint; on those,
-    the direction of each non-edge is a bit, and the bits form a key.  A
-    pair can match only if its two keys are equal, so the search is a hash
-    join on that key.  Line-1 interleavings are bucketed by key in
-    enumeration order, and each line-0 interleaving tests its bucket alone
-    for edges disjoint in the same direction on both lines, which keeps the
-    first match and the count of the full product.  The cost is one mask
-    build per interleaving of either line (one shifted n-bit OR per close
-    event) plus one big-int AND per pair inside a bucket.  With few
-    non-edges the buckets are few and large: the complete graph
-    degenerates to the full product.
+    both lines in the same direction and no edge is.  A non-edge disjoint
+    on a line lies in the order its ends open in, so no pair matches when
+    L0 and L1 order the ends of some non-edge differently.  Otherwise each
+    line walks its lattice of interleavings depth first and cuts a prefix
+    as soon as a vertex opens while one of its non-neighbours is open, so
+    it completes only the interleavings on which every non-edge is
+    disjoint, and builds each one's precedence mask as it walks, one
+    shifted n-bit OR per close event.  Line 1 keeps, per edge bit, the
+    bitset of its interleavings that leave it clear, from one transpose of
+    their masks.  A line-0 interleaving's partners are the AND of the
+    bitsets of the edge bits it sets, and its count, their popcount, is
+    memoized under those bits.  Pairs are counted a bit each, not tested
+    one by one, so the complete graph, where every interleaving survives,
+    no longer costs the full product.  The count is that of the full
+    product, and the first match pairs the first line-0 interleaving that
+    has a partner with its first partner; only that pair becomes
+    coordinates.
     """
-    l0, r0, l1, r1 = orders
     for order in orders:
         if order.n != target.n:
             raise VertexSetMismatchError(
                 f"order covers {order.n} vertices, target graph {target.n}"
             )
+    l0, r0, l1, r1 = (order.strict_sequence() for order in orders)
     n = target.n
-    # Bit n*u + v of a line's mask: u closes before v opens.  `want` holds
-    # each non-edge in both directions, `forward` only from u < v, and
-    # `edges` each edge in both directions.
     full = (1 << n) - 1
-    want = forward = edges = 0
+    apart = [full ^ row for row in target.rows]
+    rank0, rank1 = orders[0].ranks, orders[2].ranks
+    if any((rank0[u] < rank0[v]) != (rank1[u] < rank1[v])
+           for u in range(n) for v in range(u + 1, n) if apart[u] >> v & 1):
+        return None, 0
+    # Bit n*u + v of a line's mask: u closes before v opens.  `edges` holds
+    # each edge in both directions.
+    edges = 0
     for u, row in enumerate(target.rows):
-        adjacent = row ^ (1 << u)
-        apart = full ^ row
-        want |= apart << (n * u)
-        forward |= (apart >> (u + 1)) << (n * u + u + 1)
-        edges |= adjacent << (n * u)
-    non_edges = n * (n - 1) // 2 - target.m
+        edges |= (row ^ (1 << u)) << (n * u)
 
-    def joinable(left_order, right_order):
-        # Yields (key, edge mask, interleaving) for every interleaving on
-        # which each non-edge is disjoint; a non-edge sets at most one of
-        # its two bits.
-        opens = left_order.strict_sequence()
-        later = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            later[i] = later[i + 1] | (1 << opens[i])
-        for itl in enumerate_interleavings(left_order, right_order):
-            mask = opened = 0
-            for tag, v in itl.events:
-                if tag == LEFT:
-                    opened += 1
-                else:
-                    mask |= later[opened] << (n * v)
-            if (mask & want).bit_count() == non_edges:
-                yield mask & forward, mask & edges, itl
+    line1 = _survivors(l1, r1, apart)
+    # reach: the edge bits some line-1 survivor sets.  Bit i of unset[b]:
+    # survivor i leaves edge bit b clear; zip over the masks written in
+    # binary transposes them.
+    reach = 0
+    for mask in line1:
+        reach |= mask
+    reach &= edges
+    width = reach.bit_length()
+    rows = [f"{mask & reach:0{width}b}" for mask in line1]
+    unset = [~int("".join(bits)[::-1], 2) for bits in zip(*rows)][::-1]
 
-    buckets = {}
-    for key, edges1, itl1 in joinable(l1, r1):
-        buckets.setdefault(key, []).append((edges1, itl1))
+    everyone = (1 << len(line1)) - 1
     first = None
     matches = 0
-    for key, edges0, itl0 in joinable(l0, r0):
-        for edges1, itl1 in buckets.get(key, ()):
-            if not edges0 & edges1:
-                matches += 1
-                if first is None:
-                    c0, c1 = itl0.coordinates(), itl1.coordinates()
-                    first = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
+    # A line-0 survivor's count depends only on its edge bits in reach.
+    counts = {}
+    for mask in _survivors(l0, r0, apart):
+        count = counts.get(mask & reach)
+        if count is None:
+            free = everyone
+            bits = mask & reach
+            while free and bits:
+                low = bits & -bits
+                free &= unset[low.bit_length() - 1]
+                bits ^= low
+            count = counts[mask & reach] = free.bit_count()
+            if free and first is None:
+                c0 = _coordinates(l0, r0, mask)
+                c1 = _coordinates(l1, r1, line1[(free & -free).bit_length() - 1])
+                first = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
+        matches += count
     return first, matches
+
+
+def _survivors(opens, closes, apart):
+    """The interleavings of one line, opening in the order `opens` and
+    closing in the order `closes`, on which every non-edge is disjoint, as
+    precedence masks in the enumerator's order.
+
+    apart[v] is the mask of v's non-neighbours.  Bit n*u + v of a mask is
+    set when u closes before v opens; the mask determines its interleaving.
+    The walk is depth first over the lattice of (opens placed, closes
+    placed), the open branch first, on an explicit stack; a prefix is cut
+    when a vertex opens while one of its non-neighbours is open.  Once
+    every vertex has opened, the remaining closes are forced and set no
+    mask bit.
+    """
+    n = len(opens)
+    open_position = [0] * n
+    for i, v in enumerate(opens):
+        open_position[v] = i
+    later = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        later[i] = later[i + 1] | (1 << opens[i])
+    survivors = []
+    # Each entry: opens placed, closes placed, open set, mask so far.
+    # The walk follows open steps in place and stacks the close branch it
+    # passes, so the open branch still comes first.
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, j, live, mask = stack.pop()
+        while i < n:
+            v = closes[j]
+            if open_position[v] < i:
+                stack.append((i, j + 1, live ^ (1 << v), mask | later[i] << (n * v)))
+            v = opens[i]
+            if live & apart[v]:
+                break
+            i += 1
+            live |= 1 << v
+        else:
+            survivors.append(mask)
+    return survivors
+
+
+def _coordinates(opens, closes, mask):
+    """The (left, right) event positions per vertex of the interleaving
+    of `opens` and `closes` with this precedence mask.
+
+    Row v of the mask holds the vertices that open after v closes, so its
+    complement counts the opens placed before that close.
+    """
+    n = len(opens)
+    full = (1 << n) - 1
+    close_rows = [n - (mask >> (n * v) & full).bit_count() for v in closes]
+    left = [0] * n
+    right = [0] * n
+    for j, v in enumerate(closes):
+        right[v] = close_rows[j] + j
+    for i, v in enumerate(opens):
+        left[v] = i + bisect_right(close_rows, i)
+    return list(zip(left, right))
 
 
 def parse_trapezoid(text, source="<trapezoid>"):

@@ -220,3 +220,24 @@ def test_acceptance_10_trapezoid_search_n10():
         assert trapezoid_intersection_graph(first) == g
         assert trapezoid_orders(first) == orders
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_acceptance_11_trapezoid_search_n10_dense_targets():
+    # Against the complete graph no non-edge prunes anything, so both lines
+    # keep every interleaving and all 4.0e7 pairs are candidates.  G^2 is
+    # the second instance, besides P5, where the square has no trapezoid
+    # realization under G's own orders; the exhaustive product search
+    # gives 0 and 16820 as well.
+    with criterion(11, "trapezoid search at n=10 against dense targets stays fast"):
+        orders, g = random_ballot_orders(random.Random(1010), 10)
+        for target, expected in ((Graph.complete(10), 16820), (graph_power(g, 2), 0)):
+            started = time.perf_counter()
+            first, matches = search_representation(orders, target)
+            elapsed = time.perf_counter() - started
+            assert matches == expected
+            if expected:
+                assert trapezoid_intersection_graph(first) == target
+                assert trapezoid_orders(first) == orders
+            else:
+                assert first is None
+            assert elapsed < 1.5, f"took {elapsed:.2f}s"

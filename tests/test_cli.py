@@ -9,6 +9,7 @@ from intpow import (
     IntervalRepresentation,
     TrapezoidRepresentation,
     WeakOrder,
+    count_interleavings,
     endpoint_orders,
     extend_representation,
     graph_power,
@@ -386,6 +387,7 @@ def test_trapezoid_search_checks_sizes_before_counting(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr("intpow.cli.count_interleavings", refuse)
     monkeypatch.setattr("intpow.trapezoids.enumerate_interleavings", refuse)
+    monkeypatch.setattr("intpow.trapezoids._survivors", refuse)
     code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph)
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:")
@@ -403,6 +405,22 @@ def test_trapezoid_search_on_deeply_nested_orders(tmp_path, capsys):
     code, stdout, _ = run(capsys, "trapezoid-search", orders, graph)
     assert code == 0
     assert stdout == "CANDIDATES: 1\nMATCHES: 0\n"
+
+
+def test_trapezoid_search_on_long_identity_orders(tmp_path, capsys):
+    # Equal orders leave Catalan(600) interleavings per line, but an empty
+    # target cuts every prefix that opens a second vertex: the one survivor
+    # per line lays the intervals out one after another, 1200 events deep.
+    n = 600
+    identity = WeakOrder.from_sequence(list(range(n)))
+    orders = write(tmp_path / "identity.orders", "".join(
+        f"{label}: {' '.join(str(v) for v in range(1, n + 1))}\n"
+        for label in ("L0", "R0", "L1", "R1")))
+    graph = write(tmp_path / "empty.graph", f"{n} 0\n")
+    code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph)
+    assert code == 0 and stderr == ""
+    candidates = count_interleavings(identity, identity) ** 2
+    assert stdout == f"CANDIDATES: {candidates}\nMATCHES: 1\n"
 
 
 def test_p5_demo_report(capsys):

@@ -29,6 +29,7 @@ from intpow import (
     trapezoid_intersection_graph,
     trapezoid_orders,
 )
+from intpow.trapezoids import _coordinates, _survivors
 from testutil import (
     random_ballot_orders,
     random_strict_trapezoid,
@@ -376,14 +377,12 @@ def test_search_matches_brute_force_oracle():
     assert 0 < realized < 270
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
-@pytest.mark.parametrize("family", ["ballot", "random"])
-def test_search_matches_product_oracle(family, n):
+def _oracle_targets(family, n):
     # Ballot orders are the benchmark's; "random" draws each line's
     # intervals independently, as random_strict_trapezoid does.  The last
     # target's non-edges are the pairs apart on both lines of one candidate,
     # in either direction: pairs apart in opposite directions cross, so it
-    # tests that the join key keeps the direction of every non-edge.
+    # tests that the search compares the direction of every non-edge.
     rng = random.Random(f"{family}/{n}")
     if family == "ballot":
         orders, g = random_ballot_orders(rng, n)
@@ -405,11 +404,45 @@ def test_search_matches_product_oracle(family, n):
         Graph(n, [pair for pair in pairs if rng.random() < 0.5]),
         Graph(n, [pair for pair in pairs if pair not in apart]),
     ]
+    return orders, g, targets
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("family", ["ballot", "random"])
+def test_search_matches_product_oracle(family, n):
+    orders, g, targets = _oracle_targets(family, n)
     for target in targets:
         assert search_representation(orders, target) == search_representation_product(
             orders, target
         )
     assert search_representation(orders, g)[1] > 0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("family", ["ballot", "random"])
+def test_pruned_walk_matches_filtered_enumerator(family, n):
+    # The search's walk cuts a prefix once a non-edge overlaps; the oracle
+    # enumerates every interleaving, masks its coordinates and keeps those
+    # on which every non-edge sets one of its two precedence bits.
+    orders, _, targets = _oracle_targets(family, n)
+    full = (1 << n) - 1
+    for target in targets:
+        apart = [full ^ row for row in target.rows]
+        want = 0
+        for u, row in enumerate(apart):
+            want |= row << (n * u)
+        non_edges = n * (n - 1) // 2 - target.m
+        for left, right in (orders[:2], orders[2:]):
+            expected = []
+            for itl in enumerate_interleavings(left, right):
+                c = itl.coordinates()
+                mask = sum(1 << (n * u + v) for u in range(n) for v in range(n)
+                           if c[u][1] < c[v][0])
+                if (mask & want).bit_count() == non_edges:
+                    expected.append((mask, c))
+            opens, closes = left.strict_sequence(), right.strict_sequence()
+            assert [(mask, _coordinates(opens, closes, mask))
+                    for mask in _survivors(opens, closes, apart)] == expected
 
 
 def test_search_recovers_random_strict_instances():
