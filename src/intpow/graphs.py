@@ -218,7 +218,8 @@ def graph_power_oracle(g, k):
     diagonal.  Rows are bitmask integers, so this is a dense-matrix route
     with no code shared with the BFS implementation; intended for
     cross-checks at small n.  No distance exceeds n - 1, so at most n - 1
-    products are taken whatever k is.
+    products are taken whatever k is, and the products stop at the first
+    one that changes no row: every later one would repeat it.
     """
     if k < 1:
         raise InvalidKError(f"graph power requires k >= 1, got {k}")
@@ -229,7 +230,10 @@ def graph_power_oracle(g, k):
         base[v] |= 1 << u
     result = [1 << i for i in range(n)]
     for _ in range(min(k, n - 1)):
-        result = [_row_times_matrix(row, base) for row in result]
+        product = [_row_times_matrix(row, base) for row in result]
+        if product == result:
+            break
+        result = product
     edges = []
     for u in range(n):
         row = result[u] >> (u + 1)

@@ -183,12 +183,7 @@ def enumerate_interleavings(left_order, right_order):
     stream in lexicographic order, the open-event branch first.  Order
     validation happens eagerly, before the first item is requested.
     """
-    if left_order.n != right_order.n:
-        raise VertexSetMismatchError(
-            f"orders cover {left_order.n} and {right_order.n} vertices"
-        )
-    opens = left_order.strict_sequence()
-    closes = right_order.strict_sequence()
+    opens, closes = _strict_pair(left_order, right_order)
     n = len(opens)
     open_position = {v: i for i, v in enumerate(opens)}
 
@@ -222,12 +217,7 @@ def count_interleavings(left_order, right_order):
     closes placed); the step closing closes[j] at row i is allowed when
     that vertex is among the first i opens.
     """
-    if left_order.n != right_order.n:
-        raise VertexSetMismatchError(
-            f"orders cover {left_order.n} and {right_order.n} vertices"
-        )
-    opens = left_order.strict_sequence()
-    closes = right_order.strict_sequence()
+    opens, closes = _strict_pair(left_order, right_order)
     open_position = {v: i for i, v in enumerate(opens)}
     close_rank = [open_position[v] for v in closes]
     # ways[j]: paths to (i, j); an open step keeps ways[j] for row i + 1.
@@ -242,13 +232,8 @@ def count_interleavings(left_order, right_order):
 def count_interleavings_filter(left_order, right_order):
     """Count the merges by filtering all C(2n, n) placements of the open
     events.  Brute-force cross-check for enumerate_interleavings."""
-    opens = left_order.strict_sequence()
-    closes = right_order.strict_sequence()
+    opens, closes = _strict_pair(left_order, right_order)
     n = len(opens)
-    if right_order.n != n:
-        raise VertexSetMismatchError(
-            f"orders cover {n} and {right_order.n} vertices"
-        )
     count = 0
     for open_slots in itertools.combinations(range(2 * n), n):
         slots = [None] * (2 * n)
@@ -269,9 +254,19 @@ def count_interleavings_filter(left_order, right_order):
     return count
 
 
+def _strict_pair(left_order, right_order):
+    """The strict sequences of one line's open and close orders, after
+    checking that both cover the same number of vertices."""
+    if left_order.n != right_order.n:
+        raise VertexSetMismatchError(
+            f"orders cover {left_order.n} and {right_order.n} vertices"
+        )
+    return left_order.strict_sequence(), right_order.strict_sequence()
+
+
 def search_representation(orders, target):
-    """Exhaust every pair of line interleavings with the prescribed orders
-    and test which ones realize the target graph.
+    """Count the pairs of line interleavings with the prescribed orders
+    that realize the target graph, and find the first of them.
 
     orders is (L0, R0, L1, R1), all strict, on the target's vertex set.
     Returns (first_match, match_count) where first_match is a
@@ -279,23 +274,21 @@ def search_representation(orders, target):
     scanned in lexicographic order, line 0 outermost.
 
     A pair realizes the target exactly when every non-edge is disjoint on
-    both lines in the same direction and no edge is.  A non-edge disjoint
-    on a line lies in the order its ends open in, so no pair matches when
-    L0 and L1 order the ends of some non-edge differently.  Otherwise each
-    line walks its lattice of interleavings depth first and cuts a prefix
-    as soon as a vertex opens while one of its non-neighbours is open, so
-    it completes only the interleavings on which every non-edge is
-    disjoint, and builds each one's precedence mask as it walks, one
-    shifted n-bit OR per close event.  Line 1 keeps, per edge bit, the
-    bitset of its interleavings that leave it clear, from one transpose of
-    their masks.  A line-0 interleaving's partners are the AND of the
-    bitsets of the edge bits it sets, and its count, their popcount, is
-    memoized under those bits.  Pairs are counted a bit each, not tested
-    one by one, so the complete graph, where every interleaving survives,
-    no longer costs the full product.  The count is that of the full
-    product, and the first match pairs the first line-0 interleaving that
-    has a partner with its first partner; only that pair becomes
-    coordinates.
+    both lines in the same direction and no edge is.  Each line keeps only
+    the interleavings on which every non-edge is disjoint (`_survivors`);
+    the first of them closes every vertex as late as those non-edges allow,
+    and its precedence bits are a subset of every other survivor's.  So the
+    two first survivors decide: if their common bits put an edge apart, or
+    leave a non-edge apart on one line only (or on neither), no pair
+    matches and the search returns in O(n^2).  Otherwise they are the first
+    match, and only they become coordinates.  The count then follows from
+    edge bits alone: line 1 keeps, per edge bit, the bitset of its
+    survivors that leave it clear, from one transpose of their masks; a
+    line-0 survivor's count is the popcount of the AND of the bitsets of
+    the edge bits it sets, memoized under those bits.  Pairs are counted a
+    bit each, not tested one by one, so the complete graph, where every
+    interleaving survives, does not cost the full product; the count is
+    still that of the full product.
     """
     for order in orders:
         if order.n != target.n:
@@ -306,34 +299,41 @@ def search_representation(orders, target):
     n = target.n
     full = (1 << n) - 1
     apart = [full ^ row for row in target.rows]
-    rank0, rank1 = orders[0].ranks, orders[2].ranks
-    if any((rank0[u] < rank0[v]) != (rank1[u] < rank1[v])
-           for u in range(n) for v in range(u + 1, n) if apart[u] >> v & 1):
-        return None, 0
-    # Bit n*u + v of a line's mask: u closes before v opens.  `edges` holds
-    # each edge in both directions.
-    edges = 0
-    for u, row in enumerate(target.rows):
-        edges |= (row ^ (1 << u)) << (n * u)
+    # Bit n*u + v of a line's mask: u closes before v opens.  `separate`
+    # holds each non-edge in both directions; a mask never sets a bit n*v + v,
+    # so its bits outside `separate` are edges.
+    separate = 0
+    for u, row in enumerate(apart):
+        separate |= row << (n * u)
 
-    line1 = _survivors(l1, r1, apart)
+    line0, line1 = _survivors(l0, r0, apart), _survivors(l1, r1, apart)
+    # A line has no survivors only if some non-edge exists; read as mask 0,
+    # which sets no non-edge bit, it then fails the test below.
+    first0, first1 = next(line0, 0), next(line1, 0)
+    both = first0 & first1
+    # A line's mask sets at most one direction of each non-edge.
+    if both & ~separate or both.bit_count() != separate.bit_count() // 2:
+        return None, 0
+    c0, c1 = _coordinates(l0, r0, first0), _coordinates(l1, r1, first1)
+    first = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
+
+    line1 = [first1, *line1]
     # reach: the edge bits some line-1 survivor sets.  Bit i of unset[b]:
     # survivor i leaves edge bit b clear; zip over the masks written in
     # binary transposes them.
     reach = 0
     for mask in line1:
         reach |= mask
-    reach &= edges
+    reach &= ~separate
     width = reach.bit_length()
     rows = [f"{mask & reach:0{width}b}" for mask in line1]
     unset = [~int("".join(bits)[::-1], 2) for bits in zip(*rows)][::-1]
 
     everyone = (1 << len(line1)) - 1
-    first = None
     matches = 0
     # A line-0 survivor's count depends only on its edge bits in reach.
     counts = {}
-    for mask in _survivors(l0, r0, apart):
+    for mask in itertools.chain((first0,), line0):
         count = counts.get(mask & reach)
         if count is None:
             free = everyone
@@ -343,24 +343,28 @@ def search_representation(orders, target):
                 free &= unset[low.bit_length() - 1]
                 bits ^= low
             count = counts[mask & reach] = free.bit_count()
-            if free and first is None:
-                c0 = _coordinates(l0, r0, mask)
-                c1 = _coordinates(l1, r1, line1[(free & -free).bit_length() - 1])
-                first = TrapezoidRepresentation(c0[v] + c1[v] for v in range(n))
         matches += count
     return first, matches
 
 
 def _survivors(opens, closes, apart):
-    """The interleavings of one line, opening in the order `opens` and
-    closing in the order `closes`, on which every non-edge is disjoint, as
-    precedence masks in the enumerator's order.
+    """Yield the interleavings of one line, opening in the order `opens`
+    and closing in the order `closes`, on which every non-edge is disjoint,
+    as precedence masks in the enumerator's order.
 
     apart[v] is the mask of v's non-neighbours.  Bit n*u + v of a mask is
     set when u closes before v opens; the mask determines its interleaving.
-    The walk is depth first over the lattice of (opens placed, closes
-    placed), the open branch first, on an explicit stack; a prefix is cut
-    when a vertex opens while one of its non-neighbours is open.  Once
+    A non-edge is disjoint exactly when its earlier-opening end closes
+    before the other opens, so the j-th close must come before open number
+    bound[j]: the open position of the first later-opening non-neighbour of
+    closes[j], or of any later close's, as closes keep their order (n if
+    there is none).  When some bound[j] is at most the open position of
+    closes[j], that close can never be placed and nothing is yielded.
+    Otherwise the walk, depth first over the lattice of (opens placed,
+    closes placed), the open branch first, on an explicit stack, opens
+    while fewer than bound[j] opens are placed and closes once closes[j]
+    has opened; every prefix it makes completes, so the first survivor,
+    which closes every vertex at its bound, comes after O(n) steps.  Once
     every vertex has opened, the remaining closes are forced and set no
     mask bit.
     """
@@ -368,28 +372,36 @@ def _survivors(opens, closes, apart):
     open_position = [0] * n
     for i, v in enumerate(opens):
         open_position[v] = i
+    bound = [n] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        v = closes[j]
+        if bound[j + 1] <= open_position[v]:
+            return
+        # Capping the scan at bound[j + 1] takes the suffix minimum.
+        i = open_position[v] + 1
+        while i < bound[j + 1] and not apart[v] >> opens[i] & 1:
+            i += 1
+        bound[j] = i
     later = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         later[i] = later[i + 1] | (1 << opens[i])
-    survivors = []
-    # Each entry: opens placed, closes placed, open set, mask so far.
-    # The walk follows open steps in place and stacks the close branch it
-    # passes, so the open branch still comes first.
-    stack = [(0, 0, 0, 0)]
+    # Each entry: opens placed, closes placed, mask so far.  The walk
+    # follows open steps in place and stacks the close branch it passes, so
+    # the open branch still comes first; where no open fits before the
+    # close (i has reached bound[j], which it never passes), it closes.
+    stack = [(0, 0, 0)]
     while stack:
-        i, j, live, mask = stack.pop()
+        i, j, mask = stack.pop()
         while i < n:
             v = closes[j]
             if open_position[v] < i:
-                stack.append((i, j + 1, live ^ (1 << v), mask | later[i] << (n * v)))
-            v = opens[i]
-            if live & apart[v]:
-                break
+                closed = (i, j + 1, mask | later[i] << (n * v))
+                if i == bound[j]:
+                    i, j, mask = closed
+                    continue
+                stack.append(closed)
             i += 1
-            live |= 1 << v
-        else:
-            survivors.append(mask)
-    return survivors
+        yield mask
 
 
 def _coordinates(opens, closes, mask):

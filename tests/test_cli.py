@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -331,6 +332,24 @@ def test_verify_rejects_against_of_another_size(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify", graph, "1", rep, "--against", other)
     assert code == 2 and stdout == ""
     assert stderr == f"error: graph has 3 vertices, {other} has 2\n"
+
+
+def test_verify_large_k_on_dense_graph_stops_at_the_diameter(tmp_path, capsys):
+    # Intervals [v, v + 100] on 300 vertices: each step reaches 100 further,
+    # so the diameter is 3, and every power from the 3rd on is complete.
+    # All n - 1 = 299 products would take seconds, so the bound fails
+    # unless the oracle stops once a product changes nothing.
+    rep = IntervalRepresentation([(v, v + 100) for v in range(300)])
+    graph = tmp_path / "dense.graph"
+    save_graph(intersection_graph(rep), graph)
+    reps = tmp_path / "dense.rep"
+    save_representation(rep, reps)
+    expected = run(capsys, "verify", str(graph), "3", str(reps))
+    assert expected == (1, "GRAPH: MISMATCH\nMISSING_EDGE: 1 102\n", "")
+    started = time.perf_counter()
+    assert run(capsys, "verify", str(graph), str(10**9), str(reps)) == expected
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_orders_renders_tie_groups(tmp_path, capsys):

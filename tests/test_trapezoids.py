@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -443,6 +444,60 @@ def test_pruned_walk_matches_filtered_enumerator(family, n):
             opens, closes = left.strict_sequence(), right.strict_sequence()
             assert [(mask, _coordinates(opens, closes, mask))
                     for mask in _survivors(opens, closes, apart)] == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("family", ["ballot", "random"])
+def test_first_survivor_closes_every_vertex_latest(family, n):
+    # A row counts the opens placed before one close, in close order.  The
+    # oracle takes, close by close, the largest row over the enumerated
+    # interleavings on which every non-edge is disjoint; the first survivor
+    # has exactly those rows, so it sets the fewest precedence bits.
+    orders, _, targets = _oracle_targets(family, n)
+    for left, right in (orders[:2], orders[2:]):
+        opens, closes = left.strict_sequence(), right.strict_sequence()
+
+        def rows_of(c):
+            return [sum(c[u][0] < c[v][1] for u in range(n)) for v in closes]
+
+        lines = [itl.coordinates() for itl in enumerate_interleavings(left, right)]
+        for target in targets:
+            non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if not target.has_edge(u, v)]
+            latest = None
+            for c in lines:
+                if all(c[u][1] < c[v][0] or c[v][1] < c[u][0] for u, v in non_edges):
+                    rows = rows_of(c)
+                    latest = rows if latest is None else list(map(max, latest, rows))
+            apart = [((1 << n) - 1) ^ row for row in target.rows]
+            survivors = list(_survivors(opens, closes, apart))
+            if latest is None:
+                assert survivors == []
+                continue
+            first = survivors[0]
+            assert all(first & mask == first for mask in survivors)
+            assert rows_of(_coordinates(opens, closes, first)) == latest
+
+
+def test_search_refuses_unrealizable_orders_without_walking():
+    # Under identity orders K60 minus {1, 2} leaves astronomically many
+    # survivors per line, but 1 must close before 2 opens on both lines,
+    # and so must 0, which closes first: the edge {0, 2} is apart.
+    n = 60
+    identity = WeakOrder.from_sequence(list(range(n)))
+    target = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (1, 2)])
+    started = time.perf_counter()
+    assert search_representation((identity,) * 4, target) == (None, 0)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_random_ballot_orders_refuses_sizes_without_its_graph(n):
+    # At n = 2 and 3 no connected graph has n(n-1)//4 edges, so the redraw
+    # would never end; the helper refuses every size below 4.
+    with pytest.raises(ValueError):
+        random_ballot_orders(random.Random(n), n)
 
 
 def test_search_recovers_random_strict_instances():

@@ -228,7 +228,11 @@ def random_ballot_orders(rng, n):
     lines whose close order swaps each adjacent pair of the open order,
     line 1 opening in line 0's order with n // 2 random adjacent swaps,
     redrawn until the trapezoid graph G is connected with n(n-1)//4 edges.
-    Returns the strict orders (L0, R0, L1, R1) and G."""
+    Returns the strict orders (L0, R0, L1, R1) and G.  Sizes below 4
+    raise ValueError: at n = 2 and 3 no connected graph has that few
+    edges, so the redraw would never end."""
+    if n < 4:
+        raise ValueError(f"ballot orders need n >= 4, got {n}")
 
     def ballot_line(opens):
         closes = [opens[i ^ 1] if (i ^ 1) < n else opens[i] for i in range(n)]
