@@ -41,8 +41,9 @@ class Graph:
     The edges are stored once, as a sorted tuple of neighbours per vertex;
     `edge_set` builds a frozenset of the pairs (u, v), u < v, on each read,
     in O(m).  `rows` holds the same adjacency as closed-neighbourhood
-    bitmasks, the form in which the package compares adjacency; it is built
-    on first read, kept, and ignored by equality and hashing.
+    bitmasks, the form in which the package compares adjacency; it is kept
+    once built and ignored by equality and hashing.  Powers and
+    intersection graphs are computed as rows and built by `_from_rows`.
     """
 
     __slots__ = ("n", "_adjacency", "_m", "_rows")
@@ -64,10 +65,37 @@ class Graph:
                 # The first row with a repeat holds the smallest duplicate, u < v.
                 v = next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
                 raise ValueError(f"duplicate edge {(u, v)}")
-        self.n = n
+        self._store(adjacency, None)
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """The graph whose closed neighbourhoods are rows, which it keeps.
+
+        Trusted: rows must be symmetric, with bit x set in rows[x].  Each
+        set bit y > x of rows[x] is found by a lowest-set-bit step and
+        appended to the lists of x and y, so the lists come out sorted and
+        the cost is one step per edge, not one per bit position.
+        """
+        adjacency = [[] for _ in rows]
+        for x, row in enumerate(rows):
+            nbrs = adjacency[x]
+            row >>= x + 1
+            y = x
+            while row:
+                skip = (row & -row).bit_length()
+                y += skip
+                row >>= skip
+                nbrs.append(y)
+                adjacency[y].append(x)
+        g = cls.__new__(cls)
+        g._store(adjacency, tuple(rows))
+        return g
+
+    def _store(self, adjacency, rows):
+        self.n = len(adjacency)
         self._adjacency = tuple(map(tuple, adjacency))
         self._m = sum(map(len, adjacency)) // 2
-        self._rows = None
+        self._rows = rows
 
     @classmethod
     def path(cls, n):
@@ -89,16 +117,12 @@ class Graph:
     @property
     def rows(self):
         """Closed neighbourhoods as bitmasks: bit y of rows[x] is set iff
-        x == y or x and y are adjacent.  One n-bit OR per adjacency entry on
-        the first read, kept for later reads."""
+        x == y or x and y are adjacent.  Unless the graph was built from its
+        rows, the first read widens the radius-0 balls {x} by one hop
+        (`widen_balls`, one OR per vertex and per adjacency entry), and the
+        result is kept for later reads."""
         if self._rows is None:
-            rows = []
-            for x, nbrs in enumerate(self._adjacency):
-                row = 1 << x
-                for w in nbrs:
-                    row |= 1 << w
-                rows.append(row)
-            self._rows = tuple(rows)
+            self._rows = tuple(widen_balls(self, [1 << x for x in range(self.n)]))
         return self._rows
 
     def neighbors(self, v):
@@ -198,28 +222,35 @@ def _power_rows(g, k):
 
 
 def graph_power(g, k):
-    """The k-th power of g: an edge for every pair at distance 1..k."""
+    """The k-th power of g: an edge for every pair at distance 1..k.
+
+    Widens the distance balls from `g.rows` k - 1 times (`widen_balls`,
+    n + 2m ORs each) and stops at the first widen that changes nothing, so
+    no k takes more widens than the diameter.  The balls become the
+    power's rows, kept by `_from_rows`; no breadth-first search is run.
+    """
     if k < 1:
         raise InvalidKError(f"graph power requires k >= 1, got {k}")
-    edges = []
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            d = dist[v]
-            if d is not UNREACHABLE and d <= k:
-                edges.append((u, v))
-    return Graph(g.n, edges)
+    balls = list(g.rows)
+    for _ in range(k - 1):
+        wider = widen_balls(g, balls)
+        if wider == balls:
+            break
+        balls = wider
+    return Graph._from_rows(balls)
 
 
 def graph_power_oracle(g, k):
     """Brute-force k-th power via boolean matrix multiplication.
 
-    Takes the k-fold product of (adjacency OR identity) and strips the
-    diagonal.  Rows are bitmask integers, so this is a dense-matrix route
-    with no code shared with the BFS implementation; intended for
-    cross-checks at small n.  No distance exceeds n - 1, so at most n - 1
-    products are taken whatever k is, and the products stop at the first
-    one that changes no row: every later one would repeat it.
+    Takes the k-fold product of (adjacency OR identity), built from
+    `edge_set`, as bitmask rows: a dense-matrix route with no code shared
+    with BFS or `widen_balls`, intended for cross-checks at small n.  No
+    distance exceeds n - 1, so at most n - 1 products are taken whatever k
+    is, and the products stop at the first one that changes no row: every
+    later one would repeat it.  The rows go to `_from_rows`, the one step
+    shared with `graph_power`, so tests also compare the two routes'
+    `.rows`, which that step does not touch.
     """
     if k < 1:
         raise InvalidKError(f"graph power requires k >= 1, got {k}")
@@ -234,16 +265,7 @@ def graph_power_oracle(g, k):
         if product == result:
             break
         result = product
-    edges = []
-    for u in range(n):
-        row = result[u] >> (u + 1)
-        v = u + 1
-        while row:
-            if row & 1:
-                edges.append((u, v))
-            row >>= 1
-            v += 1
-    return Graph(n, edges)
+    return Graph._from_rows(result)
 
 
 def _row_times_matrix(row, matrix):

@@ -30,12 +30,15 @@ from intpow.extension import _first_difference
 from testutil import (
     first_difference_graphs,
     floyd_warshall,
+    intersection_graph_pairs,
     iterate_powers_chained,
+    latest_close_extension,
     random_connected_representation,
     random_graph,
     random_proper_chain,
     random_proper_representation,
     random_representation,
+    random_strict_connected_representation,
     representations,
 )
 
@@ -276,6 +279,24 @@ def _outcome(run, *args):
         return run(*args)
     except (InvalidKError, RepresentationMismatchError, VertexSetMismatchError) as exc:
         return type(exc), str(exc), getattr(exc, "pair", None)
+
+
+def test_iterate_matches_the_latest_close_oracle():
+    # Gap: only strict endpoint orders are covered.  The extension also
+    # accepts ties (tied opens move as a block); the oracle does not.
+    rng = random.Random(43)
+    for _ in range(200):
+        r = random_strict_connected_representation(rng, max_n=40)
+        g = intersection_graph(r)
+        dist = floyd_warshall(g)
+        orders = endpoint_orders(r)
+        for k, rep, _ in iterate_powers(g, r, 5):
+            oracle = latest_close_extension(r, g, k)
+            within_k = {(u, v) for u in range(r.n) for v in range(u + 1, r.n) if dist[u][v] <= k}
+            assert intersection_graph_pairs(oracle).edge_set == within_k
+            assert endpoint_orders(oracle) == orders
+            assert intersection_graph(rep) == intersection_graph(oracle)
+            assert endpoint_orders(rep) == orders
 
 
 def test_iterate_errors_match_chained_extensions():

@@ -1,7 +1,8 @@
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intpow import (
@@ -162,7 +163,7 @@ def test_both_power_routes_match_floyd_warshall():
     for _ in range(25):
         g = random_graph(rng, max_n=9)
         dist = floyd_warshall(g)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 10**9):
             expected = frozenset(
                 (u, v)
                 for u in range(g.n)
@@ -171,6 +172,36 @@ def test_both_power_routes_match_floyd_warshall():
             )
             assert graph_power(g, k).edge_set == expected
             assert graph_power_oracle(g, k).edge_set == expected
+            # The kept rows of both routes, compared without the shared
+            # rows-to-Graph conversion.
+            assert list(graph_power(g, k).rows) == list(graph_power_oracle(g, k).rows)
+
+
+def test_graph_power_runs_no_bfs(monkeypatch):
+    # Dense, sparse and disconnected graphs, and k past the diameter.
+    rng = random.Random(31)
+    cases = [Graph(0), Graph(1), Graph.path(12), Graph.complete(7)]
+    cases += [random_block_graph(rng, n, p, blocks, isolated) for n, p, blocks, isolated in [
+        (30, 0.9, 1, 0), (40, 0.08, 1, 0), (40, 0.5, 3, 4), (25, 0.2, 2, 3),
+    ]]
+    expected = {(g, k): graph_power_oracle(g, k) for g in cases for k in (1, 2, 3, 10**9)}
+
+    def refuse(g, source):
+        raise AssertionError("graph_power ran a breadth-first search")
+
+    monkeypatch.setattr("intpow.graphs.bfs_distances", refuse)
+    for (g, k), power in expected.items():
+        assert graph_power(g, k) == power
+
+
+def test_graph_power_of_long_path_is_fast():
+    # n breadth-first searches and an n^2 distance scan take seconds here,
+    # so the bound fails unless the power is widened from the rows.
+    started = time.perf_counter()
+    power = graph_power(Graph.path(6400), 2)
+    elapsed = time.perf_counter() - started
+    assert (power.n, power.m) == (6400, 2 * 6400 - 3)
+    assert elapsed < 1.0, elapsed
 
 
 def test_both_bfs_paths_match_floyd_warshall():
@@ -222,6 +253,19 @@ def test_widen_balls_match_floyd_warshall_and_bfs():
             if j == 1:
                 assert list(g.rows) == expected, g
             balls = widen_balls(g, balls)
+
+
+@settings(max_examples=200)
+@given(graphs(max_n=12))
+@example(Graph(0))
+@example(Graph(1))
+def test_from_rows_round_trip(g):
+    back = Graph._from_rows(g.rows)
+    assert back == g and hash(back) == hash(g)
+    assert back._adjacency == g._adjacency
+    assert (back.n, back.m, back.edge_set) == (g.n, g.m, g.edge_set)
+    assert format_graph(back) == format_graph(g)
+    assert back._rows == g.rows  # kept, not rebuilt on the first read
 
 
 def test_widen_balls_rejects_wrong_length():

@@ -63,6 +63,37 @@ def random_connected_representation(rng, max_n=25, coord_max=100):
     return IntervalRepresentation(rows)
 
 
+def random_strict_connected_representation(rng, max_n=40, max_reach=8):
+    """Random representation on n = 2..max_n vertices with a connected
+    intersection graph and strict endpoint orders.
+
+    Lefts advance by 0..2, and an interval is lengthened to the next left
+    where the union would break.  Ties are then broken at random without
+    changing the graph: a coordinate c becomes c * (2n + 1), minus a
+    distinct 1..n on lefts and plus one on rights, so touching intervals
+    still meet and disjoint ones stay apart.
+    """
+    n = rng.randint(2, max_n)
+    reach = rng.randint(0, max_reach)
+    lefts = [0]
+    for _ in range(n - 1):
+        lefts.append(lefts[-1] + rng.randint(0, 2))
+    rights = [left + rng.randint(0, reach) for left in lefts]
+    furthest = rights[0]
+    for i in range(1, n):
+        if lefts[i] > furthest:
+            rights[i - 1] = lefts[i]
+        furthest = max(furthest, rights[i - 1], rights[i])
+    left_ties, right_ties = rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)
+    scale = 2 * n + 1
+    rows = [
+        (left * scale - a, right * scale + b)
+        for left, right, a, b in zip(lefts, rights, left_ties, right_ties)
+    ]
+    rng.shuffle(rows)
+    return IntervalRepresentation(rows)
+
+
 def random_proper_representation(rng, max_n=15, coord_max=200, twin_prob=0.2):
     """Random proper representation: 2n distinct points tagged as a valid
     open/close sequence, i-th open paired with i-th close, so both endpoint
@@ -171,6 +202,44 @@ def iterate_powers_chained(g, r, k_max):
         current, trace = extend_representation(g, k, current)
         chain.append((k, current, trace))
     return chain
+
+
+def latest_close_extension(r, g, k):
+    """One-line oracle for the theorem: an interval representation of G^k
+    with r's endpoint orders, every coordinate in 0..2n-1.
+
+    r must realize g with strict orders.  Opens follow r's left order and
+    closes r's right order; each close is placed as late as the
+    later-opening non-neighbours in G^k of it, and of every later close,
+    allow: before the close of vertex u, the opens up to (not including)
+    the first such non-neighbour are placed.  The targets come from
+    floyd_warshall, so this shares no code with the extension step,
+    widen_balls or the trapezoid search.
+    """
+    if len({left for left, _ in r.intervals}) < r.n or len({right for _, right in r.intervals}) < r.n:
+        raise ValueError("latest_close_extension needs strict endpoint orders")
+    dist = floyd_warshall(g)
+    opens = sorted(range(r.n), key=lambda v: r.intervals[v][0])
+    closes = sorted(range(r.n), key=lambda v: r.intervals[v][1])
+    position = {v: i for i, v in enumerate(opens)}
+    opened_before = [0] * r.n  # by close rank: opens placed before that close
+    bound = r.n
+    for j in reversed(range(r.n)):
+        u = closes[j]
+        for i in range(position[u] + 1, r.n):
+            d = dist[u][opens[i]]
+            if d is None or d > k:
+                bound = min(bound, i)
+                break
+        opened_before[j] = bound
+    coordinates = [[None, None] for _ in range(r.n)]
+    placed = 0
+    for j, u in enumerate(closes):
+        while placed < opened_before[j]:
+            coordinates[opens[placed]][0] = placed + j
+            placed += 1
+        coordinates[u][1] = placed + j
+    return IntervalRepresentation(coordinates)
 
 
 def search_representation_pairs(orders, target):
