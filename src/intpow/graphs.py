@@ -20,10 +20,10 @@ __all__ = [
 # Marker for vertices not reachable from the BFS source.
 UNREACHABLE = None
 
-# Largest vertex count a graph file may declare.  Every graph command runs
-# at least n BFS passes, n^2 pair tests or n rows of n-bit masks, so a
-# larger graph cannot finish, and rejecting the header keeps Graph(n) from
-# allocating n adjacency lists.
+# Largest vertex count a graph file may declare.  Past parsing, the graph
+# commands work on n rows of n-bit masks, n^2 vertex pairs or n BFS passes,
+# so a larger graph cannot finish, and rejecting the header keeps
+# parse_graph from allocating n neighbour lists.
 MAX_VERTICES = 2**20
 
 # bfs_distances uses adjacency bitmasks from this average degree up, and a
@@ -59,12 +59,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adjacency[u].append(v)
             adjacency[v].append(u)
-        for u, nbrs in enumerate(adjacency):
-            nbrs.sort()
-            if len(set(nbrs)) < len(nbrs):
-                # The first row with a repeat holds the smallest duplicate, u < v.
-                v = next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
-                raise ValueError(f"duplicate edge {(u, v)}")
+        if repeat := _sort_rows(adjacency):
+            raise ValueError(f"duplicate edge {repeat}")
         self._store(adjacency, None)
 
     @classmethod
@@ -87,15 +83,15 @@ class Graph:
                 row >>= skip
                 nbrs.append(y)
                 adjacency[y].append(x)
-        g = cls.__new__(cls)
-        g._store(adjacency, tuple(rows))
-        return g
+        return cls.__new__(cls)._store(adjacency, tuple(rows))
 
     def _store(self, adjacency, rows):
+        """Keep sorted, repeat-free neighbour lists (trusted); returns self."""
         self.n = len(adjacency)
         self._adjacency = tuple(map(tuple, adjacency))
         self._m = sum(map(len, adjacency)) // 2
         self._rows = rows
+        return self
 
     @classmethod
     def path(cls, n):
@@ -146,6 +142,15 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _sort_rows(adjacency):
+    """Sort each neighbour list in place; return the first repeated pair
+    (u, v) in row order, which has u < v, or None if no list repeats."""
+    for u, nbrs in enumerate(adjacency):
+        nbrs.sort()
+        if len(set(nbrs)) < len(nbrs):
+            return u, next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
 
 
 def bfs_distances(g, source):
@@ -226,11 +231,19 @@ def graph_power(g, k):
 
     Widens the distance balls from `g.rows` k - 1 times (`widen_balls`,
     n + 2m ORs each) and stops at the first widen that changes nothing, so
-    no k takes more widens than the diameter.  The balls become the
-    power's rows, kept by `_from_rows`; no breadth-first search is run.
+    no k takes more widens than the diameter.  From k = n - 1 on, past any
+    diameter, each ball is the vertex's connected component, whose masks
+    are built from `connected_components` in O(n + m) steps instead.  The
+    balls become the power's rows, kept by `_from_rows`; no breadth-first
+    search is run.
     """
     if k < 1:
         raise InvalidKError(f"graph power requires k >= 1, got {k}")
+    if k >= g.n - 1:
+        balls = {}
+        for component in connected_components(g):
+            balls.update(dict.fromkeys(component, sum(1 << v for v in component)))
+        return Graph._from_rows([balls[v] for v in range(g.n)])
     balls = list(g.rows)
     for _ in range(k - 1):
         wider = widen_balls(g, balls)
@@ -302,26 +315,46 @@ def connected_components(g):
 def parse_graph(text, source="<graph>"):
     """Parse the graph file format: a header line "n m", then m lines "u v".
 
-    Vertex ids in the file are 1-based with u < v; loops, duplicates and
-    out-of-range ids are rejected with the offending line number, and n
-    above MAX_VERTICES on line 1.
+    Vertex ids in the file are 1-based with u < v.  One pass over the edge
+    lines appends each edge to both neighbour lists, their entries drawn
+    from one table of vertex ids; each list is then sorted and checked for
+    a repeat once, with no set of pairs kept and no second validation.
+    Every error names the first bad line in file order.  The pass stops at
+    the first malformed line, loop or out-of-range pair; only then, or when
+    a list repeats, are the lines before it read again with a set, so that
+    a duplicate edge there is reported at its second occurrence instead.  A
+    vertex count above MAX_VERTICES is rejected on line 1.
     """
     lines, (n, _) = _records.read(text, source, 2, "header must be two integers: n m",
                                   "vertex and edge counts must be nonnegative", "edge lines")
     if n > MAX_VERTICES:
         raise ParseError(source, 1, f"vertex count {n} exceeds the limit {MAX_VERTICES}")
-    edges = []
+    # vertex[u] is u - 1: every list entry for a vertex is one shared int.
+    vertex = list(range(-1, n))
+    adjacency = [[] for _ in range(n)]
+    try:
+        for i, (u, v) in _records.records(lines, source, 2, "edge line must be two integers: u v"):
+            if u == v:
+                raise ParseError(source, i, f"self-loop at vertex {u}")
+            if not (1 <= u < v <= n):
+                raise ParseError(source, i, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
+            adjacency[vertex[u]].append(vertex[v])
+            adjacency[vertex[v]].append(vertex[u])
+    except ParseError as error:
+        raise _duplicate_error(lines, source, error.line) or error from None
+    if _sort_rows(adjacency):
+        raise _duplicate_error(lines, source, len(lines) + 1)
+    return Graph.__new__(Graph)._store(adjacency, None)
+
+
+def _duplicate_error(lines, source, end):
+    """The ParseError for the first of lines 2..end-1 that repeats an
+    earlier edge, or None if none does; those lines hold valid edges."""
     seen = set()
-    for i, (u, v) in _records.records(lines, source, 2, "edge line must be two integers: u v"):
-        if u == v:
-            raise ParseError(source, i, f"self-loop at vertex {u}")
-        if not (1 <= u < v <= n):
-            raise ParseError(source, i, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
+    for i, (u, v) in _records.records(lines[:end - 1], source, 2, None):
         if (u, v) in seen:
-            raise ParseError(source, i, f"duplicate edge ({u}, {v})")
+            return ParseError(source, i, f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-        edges.append((u - 1, v - 1))
-    return Graph(n, edges)
 
 
 def format_graph(g):

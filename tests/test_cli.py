@@ -79,6 +79,13 @@ def test_parse_error_reports_file_and_line(tmp_path, capsys):
     assert "bad.graph:2:" in stderr
 
 
+def test_duplicate_before_malformed_line_is_reported(tmp_path, capsys):
+    graph = write(tmp_path / "dup.graph", "3 3\n1 2\n1 2\nx y\n")
+    code, stdout, stderr = run(capsys, "power", graph, "1")
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {graph}:3: duplicate edge (1, 2)\n"
+
+
 def test_huge_vertex_count_is_a_parse_error(tmp_path, capsys):
     graph = write(tmp_path / "huge.graph", "9223372036854775807 0\n")
     code, stdout, stderr = run(capsys, "power", graph, "2")

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from testutil import (
     floyd_warshall,
     graphs,
     random_block_graph,
+    random_dense_interval_graph,
     random_graph,
     relabel_graph,
 )
@@ -194,6 +196,26 @@ def test_graph_power_runs_no_bfs(monkeypatch):
         assert graph_power(g, k) == power
 
 
+def test_graph_power_past_the_diameter_widens_nothing(monkeypatch):
+    # From k = n - 1 on, each ball is a component, built without widening.
+    rng = random.Random(37)
+    cases = [Graph(0), Graph(1), Graph(2), Graph.path(2), Graph.path(12), Graph.path(60),
+             Graph.complete(7), random_dense_interval_graph(rng, 80)]
+    cases += [random_block_graph(rng, n, p, blocks, isolated) for n, p, blocks, isolated in [
+        (30, 0.9, 1, 0), (40, 0.08, 1, 0), (40, 0.5, 3, 4), (25, 0.2, 2, 3), (12, 0.0, 1, 12),
+    ]]
+    expected = {(g, k): graph_power_oracle(g, k) for g in cases for k in (max(1, g.n - 1), 10**9)}
+
+    def refuse(g, balls):
+        raise AssertionError("graph_power widened the balls past the diameter")
+
+    monkeypatch.setattr("intpow.graphs.widen_balls", refuse)
+    for (g, k), power in expected.items():
+        result = graph_power(g, k)
+        assert result == power and hash(result) == hash(power)
+        assert result.rows == power.rows
+
+
 def test_graph_power_of_long_path_is_fast():
     # n breadth-first searches and an n^2 distance scan take seconds here,
     # so the bound fails unless the power is widened from the rows.
@@ -346,6 +368,53 @@ def test_format_parse_round_trip():
     for _ in range(25):
         g = random_graph(rng, max_n=10)
         assert parse_graph(format_graph(g)) == g
+
+
+def assert_parses_back(g):
+    """parse_graph(format_graph(g)) stores what Graph() built for g."""
+    back = parse_graph(format_graph(g))
+    assert back._adjacency == g._adjacency and hash(back) == hash(g)
+    assert (back.n, back.m, back.edge_set) == (g.n, g.m, g.edge_set)
+
+
+@settings(max_examples=200)
+@given(graphs(max_n=12))
+@example(Graph(0))
+def test_parse_graph_inverts_format_graph(g):
+    assert_parses_back(g)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 50), (2, 200), (3, 600)])
+def test_parse_graph_inverts_format_graph_on_dense_interval_graphs(seed, n):
+    assert_parses_back(random_dense_interval_graph(random.Random(seed), n))
+
+
+def test_parse_graph_memory_on_dense_text():
+    # One pass peaks near 7.2 MB and keeps 1.2 MB here (Python 3.11).  A set
+    # of every pair, an edge list and a second validation peak near 23 MB,
+    # and one int object per adjacency entry keeps about 4 MB.
+    text = format_graph(random_dense_interval_graph(random.Random(5), 600))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m > 70_000
+    assert peak - base < 12_000_000, peak - base
+    assert kept - base < 2_500_000, kept - base
+
+
+def test_parse_reports_a_repeat_in_a_dense_file_at_its_second_occurrence():
+    lines = format_graph(random_dense_interval_graph(random.Random(6), 600)).splitlines()
+    n, m = map(int, lines[0].split())
+    text = "\n".join([f"{n} {m + 1}", *lines[1:], lines[1 + m // 2]]) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, source="dense.graph")
+    assert err.value.line == m + 2
+    u, v = lines[1 + m // 2].split()
+    assert str(err.value) == f"dense.graph:{m + 2}: duplicate edge ({u}, {v})"
 
 
 def test_parse_rejects_loop_with_line_number():

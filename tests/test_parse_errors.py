@@ -117,6 +117,14 @@ GOLDEN = [
      "vertex count 9223372036854775807 exceeds the limit 1048576"),
     (parse_graph, "1048577 1\n1 2\n", 1, "vertex count 1048577 exceeds the limit 1048576"),
     (parse_graph, "1048577 0\n1 2\n", 1, "expected 0 edge lines, found 1"),
+    # graph: a duplicate edge and a second bad line in one file
+    (parse_graph, "4 4\n1 2\n1 2\n2 3\n1 x\n", 3, "duplicate edge (1, 2)"),
+    (parse_graph, "4 4\n1 2\n1 x\n2 3\n1 2\n", 3, "edge line must be two integers: u v"),
+    (parse_graph, "4 3\n1 2\n1 2\n3 3\n", 3, "duplicate edge (1, 2)"),
+    (parse_graph, "4 3\n1 2\n1 2\n1 5\n", 3, "duplicate edge (1, 2)"),
+    (parse_graph, "4 3\n1 2\n1 2\n2 1\n", 3, "duplicate edge (1, 2)"),
+    (parse_graph, "4 4\n2 3\n1 2\n2 3\n1 2\n", 4, "duplicate edge (2, 3)"),
+    (parse_graph, "4 3\n1 2\n3 4\n01 +2\n", 4, "duplicate edge (1, 2)"),
 ]
 
 

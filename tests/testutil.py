@@ -179,6 +179,17 @@ def intersection_graph_pairs(r):
     return Graph(r.n, edges)
 
 
+def random_dense_interval_graph(rng, n):
+    """The intersection graph of n random intervals, drawn as the
+    extend-dense benchmark draws them (left endpoints in 0..4n, lengths in
+    0..2n) and built by pair tests: about 73k edges at n = 600."""
+    rows = []
+    for _ in range(n):
+        left = rng.randint(0, 4 * n)
+        rows.append((left, left + rng.randint(0, 2 * n)))
+    return intersection_graph_pairs(IntervalRepresentation(rows))
+
+
 def first_difference_graphs(expected, actual):
     """Graph oracle for the rows-based first difference: the smallest edge
     in only one of two graphs, and whether expected has it."""
