@@ -20,8 +20,8 @@ class IntpowError(Exception):
     The value constructors raise plain ValueError for malformed
     arguments: Graph (a self-loop, a duplicate edge or n < 0),
     IntervalRepresentation (a left endpoint above its right one),
-    WeakOrder, TrapezoidRepresentation and Interleaving.  A vertex id out
-    of range raises InvalidVertexError, in Graph too.
+    WeakOrder and TrapezoidRepresentation.  A vertex id out of range
+    raises InvalidVertexError, in Graph too.
     """
 
 
@@ -56,20 +56,17 @@ class CoordinateOverflowError(IntpowError):
 class NotProperError(IntpowError):
     """The representation is not proper.
 
-    witness, when present, is a pair (u, v) such that the interval of u
-    properly contains the interval of v.  Vertex ids are internal (0-based);
-    the message renders them 1-based.
+    witness is a pair (u, v) such that the interval of u properly contains
+    the interval of v.  Vertex ids are internal (0-based); the message
+    renders them 1-based.
     """
 
-    def __init__(self, witness=None):
-        if witness is None:
-            super().__init__("representation is not proper")
-        else:
-            u, v = witness
-            super().__init__(
-                f"representation is not proper: interval of vertex {u + 1} "
-                f"properly contains interval of vertex {v + 1}"
-            )
+    def __init__(self, witness):
+        u, v = witness
+        super().__init__(
+            f"representation is not proper: interval of vertex {u + 1} "
+            f"properly contains interval of vertex {v + 1}"
+        )
         self.witness = witness
 
 
@@ -80,10 +77,10 @@ class InfeasibleConstraintsError(IntpowError):
 class RepresentationMismatchError(IntpowError):
     """A representation does not realize the required graph.
 
-    pair, when present, is one offending vertex pair (internal ids).
+    pair is one offending vertex pair (internal ids).
     """
 
-    def __init__(self, message, pair=None):
+    def __init__(self, message, pair):
         super().__init__(message)
         self.pair = pair
 

@@ -10,9 +10,6 @@ from .graphs import Graph
 from .intervals import WeakOrder
 
 __all__ = [
-    "Interleaving",
-    "LEFT",
-    "RIGHT",
     "TrapezoidRepresentation",
     "count_interleavings",
     "count_interleavings_filter",
@@ -30,10 +27,6 @@ __all__ = [
     "trapezoid_intersection_graph",
     "trapezoid_orders",
 ]
-
-LEFT = "L"
-RIGHT = "R"
-
 
 class TrapezoidRepresentation:
     """Per vertex, one closed integer interval on each of two lines.
@@ -112,76 +105,16 @@ def p5_representation():
     )
 
 
-class Interleaving:
-    """One line's endpoint sequence: 2n tagged events, each vertex opening
-    before it closes."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events):
-        events = tuple((tag, v) for tag, v in events)
-        opened = set()
-        closed = set()
-        for tag, v in events:
-            if tag == LEFT:
-                if v in opened:
-                    raise ValueError(f"vertex {v} opens twice")
-                opened.add(v)
-            elif tag == RIGHT:
-                if v not in opened:
-                    raise ValueError(f"vertex {v} closes before opening")
-                if v in closed:
-                    raise ValueError(f"vertex {v} closes twice")
-                closed.add(v)
-            else:
-                raise ValueError(f"unknown event tag {tag!r}")
-        if opened != closed or opened != set(range(len(events) // 2)):
-            raise ValueError("events must pair one open and one close per vertex 0..n-1")
-        self.events = events
-
-    @classmethod
-    def _trusted(cls, events):
-        # For merges the enumerator builds, which are valid by construction.
-        itl = cls.__new__(cls)
-        itl.events = tuple(events)
-        return itl
-
-    @property
-    def n(self):
-        return len(self.events) // 2
-
-    def coordinates(self):
-        """The (left, right) coordinate pair per vertex, using each event's
-        position 0..2n-1 as its coordinate."""
-        left = [0] * self.n
-        right = [0] * self.n
-        for position, (tag, v) in enumerate(self.events):
-            if tag == LEFT:
-                left[v] = position
-            else:
-                right[v] = position
-        return list(zip(left, right))
-
-    def __eq__(self, other):
-        if not isinstance(other, Interleaving):
-            return NotImplemented
-        return self.events == other.events
-
-    def __hash__(self):
-        return hash(self.events)
-
-    def __repr__(self):
-        return "Interleaving(%s)" % "".join(f"{tag}{v}" for tag, v in self.events)
-
-
 def enumerate_interleavings(left_order, right_order):
     """Return an iterator over every merge of the two endpoint sequences
-    on one line.
+    on one line, each as the list of (left, right) event positions
+    0..2n-1 per vertex.
 
     left_order and right_order must be strict; the merge keeps both
     subsequences intact and opens every vertex before closing it.  Results
-    stream in lexicographic order, the open-event branch first.  Order
-    validation happens eagerly, before the first item is requested.
+    stream in lexicographic order of their event strings, the open-event
+    branch first.  Order validation happens eagerly, before the first item
+    is requested.
     """
     opens, closes = _strict_pair(left_order, right_order)
     n = len(opens)
@@ -190,21 +123,32 @@ def enumerate_interleavings(left_order, right_order):
     def walk():
         # Lexicographic successor: pop events until an open can become the
         # next close, place that close, then open the rest and close the rest.
-        events = []
+        # `is_open` holds the event kinds placed so far; an event's position
+        # is written when it is placed, so a popped one is rewritten before
+        # the next yield.
+        left = [0] * n
+        right = [0] * n
+        is_open = []
         i = j = 0
         while True:
-            events += [(LEFT, v) for v in opens[i:]] + [(RIGHT, v) for v in closes[j:]]
-            yield Interleaving._trusted(events)
+            for v in opens[i:]:
+                left[v] = len(is_open)
+                is_open.append(True)
+            for v in closes[j:]:
+                right[v] = len(is_open)
+                is_open.append(False)
+            yield list(zip(left, right))
             i = n
-            while events:
-                if events.pop()[0] == LEFT:
+            while is_open:
+                if is_open.pop():
                     i -= 1
-                    j = len(events) - i
+                    j = len(is_open) - i
                     if open_position[closes[j]] < i:
                         break
             else:
                 return
-            events.append((RIGHT, closes[j]))
+            right[closes[j]] = len(is_open)
+            is_open.append(False)
             j += 1
 
     return walk()
@@ -231,26 +175,18 @@ def count_interleavings(left_order, right_order):
 
 def count_interleavings_filter(left_order, right_order):
     """Count the merges by filtering all C(2n, n) placements of the open
-    events.  Brute-force cross-check for enumerate_interleavings."""
+    events: a placement is a merge when the open slot of closes[j] comes
+    before the j-th close slot for every j.  Brute-force cross-check for
+    enumerate_interleavings."""
     opens, closes = _strict_pair(left_order, right_order)
     n = len(opens)
+    slots = range(2 * n)
+    open_rank = [opens.index(v) for v in closes]
     count = 0
-    for open_slots in itertools.combinations(range(2 * n), n):
-        slots = [None] * (2 * n)
-        for i, position in enumerate(open_slots):
-            slots[position] = (LEFT, opens[i])
-        fill = iter(closes)
-        for position in range(2 * n):
-            if slots[position] is None:
-                slots[position] = (RIGHT, next(fill))
-        seen_open = set()
-        for tag, v in slots:
-            if tag == LEFT:
-                seen_open.add(v)
-            elif v not in seen_open:
-                break
-        else:
-            count += 1
+    for open_slots in itertools.combinations(slots, n):
+        taken = set(open_slots)
+        close_slots = [slot for slot in slots if slot not in taken]
+        count += all(open_slots[i] < slot for i, slot in zip(open_rank, close_slots))
     return count
 
 

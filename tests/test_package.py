@@ -12,16 +12,13 @@ PUBLIC_NAMES = [
     "ExtensionTrace",
     "Graph",
     "InfeasibleConstraintsError",
-    "Interleaving",
     "IntervalRepresentation",
     "IntpowError",
     "InvalidKError",
     "InvalidVertexError",
-    "LEFT",
     "NonStrictOrderError",
     "NotProperError",
     "ParseError",
-    "RIGHT",
     "RepresentationMismatchError",
     "TrapezoidRepresentation",
     "UNREACHABLE",

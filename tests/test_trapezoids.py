@@ -5,10 +5,7 @@ import time
 import pytest
 
 from intpow import (
-    LEFT,
-    RIGHT,
     Graph,
-    Interleaving,
     IntervalRepresentation,
     NonStrictOrderError,
     ParseError,
@@ -154,48 +151,17 @@ def test_p5_representation_orders():
     assert r1.strict_sequence() == [1, 0, 3, 2, 4]
 
 
-def test_interleaving_coordinates():
-    itl = Interleaving([(LEFT, 0), (LEFT, 1), (RIGHT, 0), (RIGHT, 1)])
-    assert itl.n == 2
-    assert itl.coordinates() == [(0, 2), (1, 3)]
-
-
-def test_interleaving_validation():
-    with pytest.raises(ValueError, match="closes before opening"):
-        Interleaving([(RIGHT, 0), (LEFT, 0)])
-    with pytest.raises(ValueError, match="opens twice"):
-        Interleaving([(LEFT, 0), (LEFT, 0)])
-    with pytest.raises(ValueError, match="closes twice"):
-        Interleaving([(LEFT, 0), (RIGHT, 0), (RIGHT, 0)])
-    with pytest.raises(ValueError, match="unknown event tag"):
-        Interleaving([("X", 0), (RIGHT, 0)])
-    with pytest.raises(ValueError, match="0..n-1"):
-        Interleaving([(LEFT, 1), (RIGHT, 1)])
-    with pytest.raises(ValueError, match="0..n-1"):
-        Interleaving([(LEFT, 0), (LEFT, 1), (RIGHT, 0)])
-
-
-def test_interleaving_equality():
-    events = [(LEFT, 0), (RIGHT, 0)]
-    assert Interleaving(events) == Interleaving(tuple(events))
-    assert hash(Interleaving(events)) == hash(Interleaving(events))
-    assert Interleaving(events) != Interleaving(
-        [(LEFT, 0), (LEFT, 1), (RIGHT, 0), (RIGHT, 1)]
-    )
-
-
 def test_enumerate_single_vertex():
     order = WeakOrder([0])
-    assert list(enumerate_interleavings(order, order)) == [
-        Interleaving([(LEFT, 0), (RIGHT, 0)])
-    ]
+    assert list(enumerate_interleavings(order, order)) == [[(0, 1)]]
 
 
 def test_enumerate_two_vertices_in_lexicographic_order():
     order = WeakOrder.from_sequence([0, 1])
+    # L0 L1 R0 R1, then L0 R0 L1 R1.
     assert list(enumerate_interleavings(order, order)) == [
-        Interleaving([(LEFT, 0), (LEFT, 1), (RIGHT, 0), (RIGHT, 1)]),
-        Interleaving([(LEFT, 0), (RIGHT, 0), (LEFT, 1), (RIGHT, 1)]),
+        [(0, 2), (1, 3)],
+        [(0, 1), (2, 3)],
     ]
 
 
@@ -215,14 +181,12 @@ def test_enumerate_respects_both_orders():
         left = WeakOrder.from_sequence(opens)
         right = WeakOrder.from_sequence(closes)
         seen = set()
-        for itl in enumerate_interleavings(left, right):
-            assert [v for tag, v in itl.events if tag == LEFT] == opens
-            assert [v for tag, v in itl.events if tag == RIGHT] == closes
-            coords = itl.coordinates()
+        for coords in enumerate_interleavings(left, right):
+            assert sorted(p for c in coords for p in c) == list(range(2 * n))
             assert all(l < r for l, r in coords)
-            assert WeakOrder.from_keys(l for l, _ in coords) == left
-            assert WeakOrder.from_keys(r for _, r in coords) == right
-            seen.add(itl)
+            assert sorted(range(n), key=lambda v: coords[v][0]) == opens
+            assert sorted(range(n), key=lambda v: coords[v][1]) == closes
+            seen.add(tuple(coords))
         assert len(seen) == count_interleavings_filter(left, right)
 
 
@@ -232,8 +196,12 @@ def test_enumerate_streams_in_lexicographic_order():
         n = rng.randint(0, 6)
         left = WeakOrder.from_sequence(rng.sample(range(n), n))
         right = WeakOrder.from_sequence(rng.sample(range(n), n))
-        events = [itl.events for itl in enumerate_interleavings(left, right)]
-        assert events == sorted(set(events))
+        # Where two event strings first differ, the one that opens there has
+        # the smaller open positions, read in `opens` order.
+        opens = left.strict_sequence()
+        positions = [tuple(coords[v][0] for v in opens)
+                     for coords in enumerate_interleavings(left, right)]
+        assert positions == sorted(set(positions))
 
 
 def test_enumerate_deeply_nested_orders():
@@ -244,7 +212,7 @@ def test_enumerate_deeply_nested_orders():
     right = WeakOrder.from_sequence(list(range(n - 1, -1, -1)))
     only = list(enumerate_interleavings(left, right))
     assert len(only) == 1
-    assert only[0].coordinates() == [(v, 2 * n - 1 - v) for v in range(n)]
+    assert only[0] == [(v, 2 * n - 1 - v) for v in range(n)]
     assert count_interleavings(left, right) == 1
 
 
@@ -254,21 +222,7 @@ def test_enumerate_matches_filter_count_on_divergent_orders():
     # Closing 2 first forces 0 and 1 open, closing 1 next forces 2 open.
     assert count_interleavings_filter(left, right) == 1
     only = list(enumerate_interleavings(left, right))
-    assert only == [
-        Interleaving(
-            [(LEFT, 0), (LEFT, 1), (LEFT, 2), (RIGHT, 2), (RIGHT, 1), (RIGHT, 0)]
-        )
-    ]
-
-
-def test_enumerate_yields_valid_interleavings():
-    rng = random.Random(23)
-    for _ in range(40):
-        n = rng.randint(0, 7)
-        left = WeakOrder.from_sequence(rng.sample(range(n), n))
-        right = WeakOrder.from_sequence(rng.sample(range(n), n))
-        for itl in enumerate_interleavings(left, right):
-            assert itl == Interleaving(itl.events)
+    assert only == [[(0, 5), (1, 4), (2, 3)]]
 
 
 def test_count_matches_enumerator_and_filter():
@@ -302,6 +256,33 @@ def test_enumerate_rejects_mismatched_sizes():
         count_interleavings_filter(WeakOrder([0]), WeakOrder.from_sequence([0, 1]))
     with pytest.raises(VertexSetMismatchError):
         count_interleavings(WeakOrder([0]), WeakOrder.from_sequence([0, 1]))
+
+
+def test_enumerate_checks_sizes_before_ties():
+    tied = WeakOrder([0, 0])
+    single = WeakOrder([0])
+    for walk in (enumerate_interleavings, count_interleavings, count_interleavings_filter):
+        with pytest.raises(VertexSetMismatchError):
+            walk(single, tied)
+        with pytest.raises(VertexSetMismatchError):
+            walk(tied, single)
+
+
+def test_interleaving_oracles_run_no_search_helpers(monkeypatch):
+    rng = random.Random(41)
+    cases = [(n, rng.sample(range(n), n), rng.sample(range(n), n))
+             for n in range(7) for _ in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("an interleaving oracle ran a search helper")
+
+    monkeypatch.setattr("intpow.trapezoids._survivors", refuse)
+    monkeypatch.setattr("intpow.trapezoids._coordinates", refuse)
+    for n, opens, closes in cases:
+        left, right = WeakOrder.from_sequence(opens), WeakOrder.from_sequence(closes)
+        expected = count_interleavings(left, right)
+        assert count_interleavings_filter(left, right) == expected
+        assert sum(1 for _ in enumerate_interleavings(left, right)) == expected
 
 
 def test_search_two_vertex_targets():
@@ -338,11 +319,9 @@ def test_search_first_match_is_lexicographically_earliest():
         first, matches = search_representation(orders, target)
         assert matches >= 1
         l0, r0, l1, r1 = orders
-        for itl0 in enumerate_interleavings(l0, r0):
-            c0 = itl0.coordinates()
+        for c0 in enumerate_interleavings(l0, r0):
             found = None
-            for itl1 in enumerate_interleavings(l1, r1):
-                c1 = itl1.coordinates()
+            for c1 in enumerate_interleavings(l1, r1):
                 candidate = TrapezoidRepresentation(
                     [c0[v] + c1[v] for v in range(t.n)]
                 )
@@ -387,7 +366,7 @@ def _oracle_targets(family, n):
     rng = random.Random(f"{family}/{n}")
     if family == "ballot":
         orders, g = random_ballot_orders(rng, n)
-        c0, c1 = (rng.choice(list(enumerate_interleavings(*line))).coordinates()
+        c0, c1 = (rng.choice(list(enumerate_interleavings(*line)))
                   for line in (orders[:2], orders[2:]))
     else:
         c0, c1 = ([tuple(sorted(values[2 * v:2 * v + 2])) for v in range(n)]
@@ -435,8 +414,7 @@ def test_pruned_walk_matches_filtered_enumerator(family, n):
         non_edges = n * (n - 1) // 2 - target.m
         for left, right in (orders[:2], orders[2:]):
             expected = []
-            for itl in enumerate_interleavings(left, right):
-                c = itl.coordinates()
+            for c in enumerate_interleavings(left, right):
                 mask = sum(1 << (n * u + v) for u in range(n) for v in range(n)
                            if c[u][1] < c[v][0])
                 if (mask & want).bit_count() == non_edges:
@@ -460,7 +438,7 @@ def test_first_survivor_closes_every_vertex_latest(family, n):
         def rows_of(c):
             return [sum(c[u][0] < c[v][1] for u in range(n)) for v in closes]
 
-        lines = [itl.coordinates() for itl in enumerate_interleavings(left, right)]
+        lines = list(enumerate_interleavings(left, right))
         for target in targets:
             non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                          if not target.has_edge(u, v)]

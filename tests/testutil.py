@@ -258,11 +258,10 @@ def search_representation_pairs(orders, target):
     trapezoid representation and compare its pair-tested intersection
     graph with the target."""
     l0, r0, l1, r1 = orders
-    line1 = [itl.coordinates() for itl in enumerate_interleavings(l1, r1)]
+    line1 = list(enumerate_interleavings(l1, r1))
     first = None
     matches = 0
-    for itl0 in enumerate_interleavings(l0, r0):
-        c0 = itl0.coordinates()
+    for c0 in enumerate_interleavings(l0, r0):
         for c1 in line1:
             candidate = TrapezoidRepresentation(c0[v] + c1[v] for v in range(target.n))
             if trapezoid_intersection_graph(candidate) == target:
@@ -288,12 +287,10 @@ def search_representation_product(orders, target):
                 mask(c[v][1] < c[u][0] for u, v in pairs))
 
     want = mask(not target.has_edge(u, v) for u, v in pairs)
-    line1 = [(c1, *masks(c1))
-             for c1 in (itl.coordinates() for itl in enumerate_interleavings(l1, r1))]
+    line1 = [(c1, *masks(c1)) for c1 in enumerate_interleavings(l1, r1)]
     first = None
     matches = 0
-    for itl0 in enumerate_interleavings(l0, r0):
-        c0 = itl0.coordinates()
+    for c0 in enumerate_interleavings(l0, r0):
         before0, after0 = masks(c0)
         for c1, before1, after1 in line1:
             if before0 & before1 | after0 & after1 == want:
