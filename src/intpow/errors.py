@@ -28,13 +28,18 @@ class IntpowError(Exception):
 class ParseError(IntpowError):
     """A text input could not be parsed.
 
-    Carries the source name and the 1-based line number of the offending line.
+    Carries the source name, the 1-based line number of the offending line
+    and the message without them.
     """
 
     def __init__(self, source, line, message):
         super().__init__(f"{source}:{line}: {message}")
         self.source = source
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.source, self.line, self.message), self.__dict__
 
 
 class InvalidVertexError(IntpowError):
@@ -69,6 +74,9 @@ class NotProperError(IntpowError):
         )
         self.witness = witness
 
+    def __reduce__(self):
+        return type(self), (self.witness,), self.__dict__
+
 
 class InfeasibleConstraintsError(IntpowError):
     """The difference-constraint system admits no solution."""
@@ -83,6 +91,9 @@ class RepresentationMismatchError(IntpowError):
     def __init__(self, message, pair):
         super().__init__(message)
         self.pair = pair
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.pair), self.__dict__
 
 
 class NonStrictOrderError(IntpowError):

@@ -201,14 +201,14 @@ def format_trace(trace):
 
 
 def parse_trace(text, source="<trace>"):
-    lines, (k, scale) = _records.read(text, source, 2, "header must be two integers: k scale")
+    body, (k, scale) = _records.read(text, source, 2, "header must be two integers: k scale")
     if k < 2:
         raise ParseError(source, 1, f"trace requires k >= 2, got {k}")
-    n = len(lines) - 1
+    n = body.size
     witness = [None] * n
     new_right = [None] * n
     usage = "trace line must be: x witness new_right"
-    for i, (x, w, right) in _records.records(lines, source, 3, usage, ids=n, dash=1):
+    for i, (x, w, right) in _records.records(body, source, 3, usage, ids=n, dash=1):
         if w is not None and not 1 <= w <= n:
             raise _records.out_of_range(source, i, "witness", w, n)
         if w == x:

@@ -1,5 +1,7 @@
 """Simple undirected graphs, hop distances, and graph powers."""
 
+import itertools
+
 from . import _records
 from .errors import InvalidKError, InvalidVertexError, ParseError, VertexSetMismatchError
 
@@ -86,9 +88,15 @@ class Graph:
         return cls.__new__(cls)._store(adjacency, tuple(rows))
 
     def _store(self, adjacency, rows):
-        """Keep sorted, repeat-free neighbour lists (trusted); returns self."""
+        """Keep sorted, repeat-free neighbour lists (trusted); returns self.
+
+        Each list becomes a tuple in place, so the lists and the tuples are
+        never all held at once.
+        """
+        for x, nbrs in enumerate(adjacency):
+            adjacency[x] = tuple(nbrs)
         self.n = len(adjacency)
-        self._adjacency = tuple(map(tuple, adjacency))
+        self._adjacency = tuple(adjacency)
         self._m = sum(map(len, adjacency)) // 2
         self._rows = rows
         return self
@@ -325,15 +333,15 @@ def parse_graph(text, source="<graph>"):
     a duplicate edge there is reported at its second occurrence instead.  A
     vertex count above MAX_VERTICES is rejected on line 1.
     """
-    lines, (n, _) = _records.read(text, source, 2, "header must be two integers: n m",
-                                  "vertex and edge counts must be nonnegative", "edge lines")
+    body, (n, _) = _records.read(text, source, 2, "header must be two integers: n m",
+                                 "vertex and edge counts must be nonnegative", "edge lines")
     if n > MAX_VERTICES:
         raise ParseError(source, 1, f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     # vertex[u] is u - 1: every list entry for a vertex is one shared int.
     vertex = list(range(-1, n))
     adjacency = [[] for _ in range(n)]
     try:
-        for i, (u, v) in _records.records(lines, source, 2, "edge line must be two integers: u v"):
+        for i, (u, v) in _records.records(body, source, 2, "edge line must be two integers: u v"):
             if u == v:
                 raise ParseError(source, i, f"self-loop at vertex {u}")
             if not (1 <= u < v <= n):
@@ -341,17 +349,18 @@ def parse_graph(text, source="<graph>"):
             adjacency[vertex[u]].append(vertex[v])
             adjacency[vertex[v]].append(vertex[u])
     except ParseError as error:
-        raise _duplicate_error(lines, source, error.line) or error from None
+        raise _duplicate_error(body, source, error.line) or error from None
     if _sort_rows(adjacency):
-        raise _duplicate_error(lines, source, len(lines) + 1)
+        raise _duplicate_error(body, source, body.size + 2)
     return Graph.__new__(Graph)._store(adjacency, None)
 
 
-def _duplicate_error(lines, source, end):
+def _duplicate_error(body, source, end):
     """The ParseError for the first of lines 2..end-1 that repeats an
-    earlier edge, or None if none does; those lines hold valid edges."""
+    earlier edge, or None if none does; those lines hold valid edges.  They
+    are read again from the text, and line end is not read."""
     seen = set()
-    for i, (u, v) in _records.records(lines[:end - 1], source, 2, None):
+    for i, (u, v) in itertools.islice(_records.records(body, source, 2, None), end - 2):
         if (u, v) in seen:
             return ParseError(source, i, f"duplicate edge ({u}, {v})")
         seen.add((u, v))

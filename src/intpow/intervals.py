@@ -356,11 +356,11 @@ def parse_representation(text, source="<representation>"):
 
     Vertex ids are 1-based and each must appear exactly once.
     """
-    lines, (n,) = _records.read(text, source, 1, "header must be a single integer: n",
-                                "vertex count must be nonnegative", "interval lines")
+    body, (n,) = _records.read(text, source, 1, "header must be a single integer: n",
+                               "vertex count must be nonnegative", "interval lines")
     rows = [None] * n
     usage = "interval line must be three integers: v l r"
-    for i, (v, left, right) in _records.records(lines, source, 3, usage, ids=n):
+    for i, (v, left, right) in _records.records(body, source, 3, usage, ids=n):
         if left > right:
             raise ParseError(source, i, f"left endpoint {left} exceeds right {right}")
         if left < INT64_MIN or right > INT64_MAX:

@@ -361,11 +361,11 @@ def _coordinates(opens, closes, mask):
 
 def parse_trapezoid(text, source="<trapezoid>"):
     """Parse the trapezoid format: a line "n", then n lines "v l0 r0 l1 r1"."""
-    lines, (n,) = _records.read(text, source, 1, "header must be a single integer: n",
-                                "vertex count must be nonnegative", "rows")
+    body, (n,) = _records.read(text, source, 1, "header must be a single integer: n",
+                               "vertex count must be nonnegative", "rows")
     rows = [None] * n
     usage = "row must be five integers: v l0 r0 l1 r1"
-    for i, (v, l0, r0, l1, r1) in _records.records(lines, source, 5, usage, ids=n):
+    for i, (v, l0, r0, l1, r1) in _records.records(body, source, 5, usage, ids=n):
         if l0 > r0 or l1 > r1:
             raise ParseError(source, i, "interval endpoints out of order")
         rows[v - 1] = (l0, r0, l1, r1)
@@ -397,12 +397,12 @@ def parse_orders(text, source="<orders>"):
 
     Each line lists every vertex exactly once, 1-based, smallest first.
     """
-    lines = _records.content_lines(text)
-    if len(lines) != 4:
-        raise ParseError(source, max(1, len(lines)), "expected exactly four order lines")
+    end, count = _records.content(text)
+    if count != 4:
+        raise ParseError(source, max(1, count), "expected exactly four order lines")
     orders = []
     n = None
-    for i, (label, line) in enumerate(zip(_ORDER_LABELS, lines), start=1):
+    for i, (label, line) in enumerate(zip(_ORDER_LABELS, _records.lines(text, end)), start=1):
         parts = line.split()
         if not parts or parts[0] != f"{label}:":
             raise ParseError(source, i, f'line must start with "{label}:"')

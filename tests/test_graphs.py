@@ -406,6 +406,21 @@ def test_parse_graph_memory_on_dense_text():
     assert kept - base < 2_500_000, kept - base
 
 
+def test_parse_graph_streams_the_dense_text():
+    # The reader holds one chunk of lines at a time: the peak is near 1.4 MB
+    # here (Python 3.11).  A list of all 72,793 lines takes 4.7 MB alone.
+    text = format_graph(random_dense_interval_graph(random.Random(5), 600))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m > 70_000
+    assert peak - base < 3_500_000, peak - base
+
+
 def test_parse_reports_a_repeat_in_a_dense_file_at_its_second_occurrence():
     lines = format_graph(random_dense_interval_graph(random.Random(6), 600)).splitlines()
     n, m = map(int, lines[0].split())

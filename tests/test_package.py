@@ -1,9 +1,11 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import intpow
+from intpow import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,3 +95,27 @@ def test_cli_import_loads_only_intpow_beyond_its_stdlib_imports():
 def test_public_names():
     assert sorted(intpow.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(intpow, name)] == []
+
+
+ERRORS = [
+    errors.IntpowError("base"),
+    errors.ParseError("in.graph", 3, "duplicate edge (1, 2)"),
+    errors.InvalidVertexError("vertex 7 out of range"),
+    errors.InvalidKError("k must be at least 1"),
+    errors.VertexSetMismatchError("orders cover 3 and 2 vertices"),
+    errors.CoordinateOverflowError("coordinate 2**63 leaves the 64-bit range"),
+    errors.NotProperError((1, 4)),
+    errors.InfeasibleConstraintsError("negative cycle"),
+    errors.RepresentationMismatchError("missing edge 1 3", (0, 2)),
+    errors.NonStrictOrderError("order has ties"),
+]
+
+
+def test_errors_survive_pickle():
+    assert sorted(type(error).__name__ for error in ERRORS) == sorted(errors.__all__)
+    for error in ERRORS:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        for name in ("source", "line", "message", "witness", "pair"):
+            assert getattr(copy, name, None) == getattr(error, name, None), name

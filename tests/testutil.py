@@ -5,6 +5,9 @@ sees the same instances; the hypothesis strategies mirror them for the
 property tests.
 """
 
+import contextlib
+
+import pytest
 from hypothesis import strategies as st
 
 from intpow import (
@@ -21,6 +24,8 @@ from intpow import (
     intersection_graph,
     trapezoid_intersection_graph,
 )
+from intpow import _records
+from intpow.errors import ParseError
 
 
 def random_graph(rng, max_n=12, edge_prob=None):
@@ -423,6 +428,90 @@ class ReferenceGraph:
         """The graph file text: header "n m", then the sorted pairs, 1-based."""
         lines = [f"{self.n} {self.m}"] + [f"{u + 1} {v + 1}" for u, v in sorted(self.edge_set)]
         return "".join(line + "\n" for line in lines)
+
+
+def content_lines(text):
+    """The lines of text, without trailing blank ones: the whole list that
+    the streaming reader in intpow._records never builds."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return lines
+
+
+class ReferenceBody(list):
+    """The record lines of a text, as a list."""
+
+    @property
+    def size(self):
+        return len(self)
+
+
+def reference_content(text):
+    """(end, count) with end unused: reference_lines ignores it."""
+    return len(text), len(content_lines(text))
+
+
+def reference_lines(text, end):
+    """All content lines, as parse_orders reads them."""
+    return iter(content_lines(text))
+
+
+def reference_read(text, source, width, usage, negative=None, counted=None):
+    """intpow._records.read on content_lines."""
+    lines = content_lines(text)
+    if not lines:
+        raise ParseError(source, 1, "missing header line")
+    parts = lines[0].split()
+    if len(parts) != width:
+        raise ParseError(source, 1, usage)
+    try:
+        values = tuple(map(int, parts))
+    except ValueError:
+        raise ParseError(source, 1, usage) from None
+    if negative is not None and min(values) < 0:
+        raise ParseError(source, 1, negative)
+    if counted is not None and len(lines) - 1 != values[-1]:
+        raise ParseError(source, 1, f"expected {values[-1]} {counted}, found {len(lines) - 1}")
+    return ReferenceBody(lines[1:]), values
+
+
+def reference_records(body, source, width, usage, ids=None, dash=None):
+    """intpow._records.records on a ReferenceBody."""
+    seen = set()
+    for i, line in enumerate(body, start=2):
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError(source, i, usage)
+        fields = []
+        for j, part in enumerate(parts):
+            if j == dash and part == "-":
+                fields.append(None)
+                continue
+            try:
+                fields.append(int(part))
+            except ValueError:
+                raise ParseError(source, i, usage) from None
+        if ids is not None:
+            v = fields[0]
+            if not 1 <= v <= ids:
+                raise ParseError(source, i, f"vertex {v} out of range 1..{ids}")
+            if v in seen:
+                raise ParseError(source, i, f"vertex {v} listed twice")
+            seen.add(v)
+        yield i, fields
+
+
+@contextlib.contextmanager
+def reference_reader():
+    """Within the block, the five parsers read their text through the
+    list-of-lines reader above instead of the streaming one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_records, "content", reference_content)
+        patch.setattr(_records, "lines", reference_lines)
+        patch.setattr(_records, "read", reference_read)
+        patch.setattr(_records, "records", reference_records)
+        yield
 
 
 def relabel_graph(g, permutation):
