@@ -8,15 +8,22 @@ the content by stripping pieces of at most CHUNK characters, then counts
 its lines as 1 plus the `str.splitlines` separators before the end, minus
 the "\\r\\n" pairs: every separator is whitespace, so none straddles the
 end.  Records are split a chunk at a time, each cut just after the first
-"\\n" at least CHUNK characters in, so no line or "\\r\\n" straddles a cut.
+line break at least CHUNK characters in, "\\r\\n" or any one separator, so
+no line or "\\r\\n" straddles a cut, whichever line endings a text uses.
 """
 
+import re
 from collections import namedtuple
 
 from .errors import ParseError
 
 # The separators at which str.splitlines breaks a line.
 SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# A line break: "\r\n" first, so that a cut never parts the pair.  The two
+# separators past Latin-1 stand alone: inside the class they would make
+# re.compile build a map of all 65,536 BMP code points, a 130 KB transient.
+_BREAK = re.compile("\r\n|[" + SEPARATORS[:-2] + "]|" + "|".join(SEPARATORS[-2:]))
 
 # The least length of a chunk of lines split at once.
 CHUNK = 1 << 14
@@ -41,10 +48,9 @@ def content(text):
     return end, count
 
 
-def lines(text, end):
-    """Yield the lines of text[:end] that str.splitlines gives, a chunk at
-    a time."""
-    start = 0
+def lines(text, start, end):
+    """Yield the lines of text[start:end] that str.splitlines gives, a
+    chunk at a time."""
     while start < end:
         cut = _cut(text, start, end)
         yield from text[start:cut].splitlines()
@@ -52,9 +58,10 @@ def lines(text, end):
 
 
 def _cut(text, start, end):
-    """The end of the chunk that starts at start: just after the first "\\n"
-    at least CHUNK characters in, or end."""
-    return text.find("\n", start + CHUNK - 1, end) + 1 or end
+    """The end of the chunk that starts at start: just after the first line
+    break at least CHUNK characters in, or end."""
+    found = _BREAK.search(text, start + CHUNK - 1, end)
+    return found.end() if found else end
 
 
 def read(text, source, width, usage, negative=None, counted=None):
@@ -67,7 +74,7 @@ def read(text, source, width, usage, negative=None, counted=None):
     end, count = content(text)
     if not count:
         raise ParseError(source, 1, "missing header line")
-    header = next(lines(text, end))
+    header = next(lines(text, 0, end))
     start = len(header) + (2 if text.startswith("\r\n", len(header)) else 1)
     parts = header.split()
     if len(parts) != width:
@@ -93,31 +100,27 @@ def records(body, source, width, usage, ids=None, dash=None):
     """
     text, start, end, _ = body
     seen = [False] * (ids or 0)
-    i = 1
-    while start < end:
-        cut = _cut(text, start, end)
-        for i, line in enumerate(text[start:cut].splitlines(), i + 1):
-            parts = line.split()
-            if len(parts) != width:
-                raise ParseError(source, i, usage)
-            absent = dash is not None and parts[dash] == "-"
-            if absent:
-                parts[dash] = "0"
-            try:
-                fields = list(map(int, parts))
-            except ValueError:
-                raise ParseError(source, i, usage) from None
-            if absent:
-                fields[dash] = None
-            if ids is not None:
-                v = fields[0]
-                if not 1 <= v <= ids:
-                    raise out_of_range(source, i, "vertex", v, ids)
-                if seen[v - 1]:
-                    raise ParseError(source, i, f"vertex {v} listed twice")
-                seen[v - 1] = True
-            yield i, fields
-        start = cut
+    for i, line in enumerate(lines(text, start, end), 2):
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError(source, i, usage)
+        absent = dash is not None and parts[dash] == "-"
+        if absent:
+            parts[dash] = "0"
+        try:
+            fields = list(map(int, parts))
+        except ValueError:
+            raise ParseError(source, i, usage) from None
+        if absent:
+            fields[dash] = None
+        if ids is not None:
+            v = fields[0]
+            if not 1 <= v <= ids:
+                raise out_of_range(source, i, "vertex", v, ids)
+            if seen[v - 1]:
+                raise ParseError(source, i, f"vertex {v} listed twice")
+            seen[v - 1] = True
+        yield i, fields
 
 
 def out_of_range(source, line, what, value, n):

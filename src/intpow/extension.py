@@ -12,7 +12,7 @@ from .errors import (
     VertexSetMismatchError,
 )
 from .graphs import _power_rows, widen_balls
-from .intervals import IntervalRepresentation, intersection_rows, normalize
+from .intervals import IntervalRepresentation, _later_masks, intersection_rows, normalize
 
 __all__ = [
     "ExtensionTrace",
@@ -76,17 +76,14 @@ def _step(current, k, inner, outer):
     with a witness moves into the gap after the witness's left end.
     Vertices stretched into the same gap are laid out by the order of
     their original right endpoints, so both endpoint orders survive.
+
+    Only vertices opening right of x can be witnesses: `_later_masks`
+    over the lefts gives them as one mask, found by bisection, which
+    each sphere is ANDed with before its bits are visited.
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
-    # right_of[bisect_right(sorted_lefts, l)]: the vertices whose left
-    # endpoint lies right of l, the only ones that can be witnesses.
-    by_left = sorted(range(base.n), key=lefts.__getitem__)
-    sorted_lefts = [lefts[v] for v in by_left]
-    right_of = [0]
-    for v in reversed(by_left):
-        right_of.append(right_of[-1] | 1 << v)
-    right_of.reverse()
+    sorted_lefts, right_of = _later_masks(lefts)
     witness = []
     for x, left_x in enumerate(lefts):
         best, best_left = None, left_x

@@ -44,8 +44,9 @@ class Graph:
     `edge_set` builds a frozenset of the pairs (u, v), u < v, on each read,
     in O(m).  `rows` holds the same adjacency as closed-neighbourhood
     bitmasks, the form in which the package compares adjacency; it is kept
-    once built and ignored by equality and hashing.  Powers and
-    intersection graphs are computed as rows and built by `_from_rows`.
+    once built and ignored by equality and hashing.  Powers and the
+    intersection graphs of interval and of trapezoid representations are
+    computed as rows and built by `_from_rows`.
     """
 
     __slots__ = ("n", "_adjacency", "_m", "_rows")
@@ -133,12 +134,6 @@ class Graph:
         if not 0 <= v < self.n:
             raise InvalidVertexError(f"vertex {v} out of range for {self.n} vertices")
         return self._adjacency[v]
-
-    def degree(self, v):
-        return len(self.neighbors(v))
-
-    def has_edge(self, u, v):
-        return 0 <= u < self.n and v in self._adjacency[u]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

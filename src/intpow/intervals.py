@@ -122,11 +122,6 @@ class WeakOrder:
     def is_strict(self):
         return len(set(self.ranks)) == len(self.ranks)
 
-    def compare(self, u, v):
-        """-1, 0 or 1 as u precedes, ties with, or follows v."""
-        a, b = self.ranks[u], self.ranks[v]
-        return (a > b) - (a < b)
-
     def strict_sequence(self):
         """Vertices smallest-rank first; requires a strict order."""
         if not self.is_strict:
@@ -166,26 +161,38 @@ def intersection_rows(r):
     """Closed neighbourhoods as bitmasks: bit y of entry x is set iff the
     intervals of x and y meet, x itself included.
 
-    y meets x iff left(y) <= right(x) and right(y) >= left(x).  Prefix ORs
-    over the vertices sorted by left and suffix ORs over those sorted by
-    right give each side as one mask, so the whole costs O(n log n) plus
-    n ANDs, with no edge list.
+    y meets x iff left(y) <= right(x) and right(y) >= left(x): y is not
+    among the vertices opening after x closes, and is among those closing
+    at or after x opens.  `_later_masks` over the lefts and over the rights
+    gives each side as one mask found by bisection, so the whole costs
+    O(n log n) plus two big-int operations per vertex, with no edge list.
     """
-    by_left = sorted(range(r.n), key=lambda v: r.intervals[v][0])
-    by_right = sorted(range(r.n), key=lambda v: r.intervals[v][1])
-    lefts = [r.intervals[v][0] for v in by_left]
-    rights = [r.intervals[v][1] for v in by_right]
-    prefix = [0]
-    for v in by_left:
-        prefix.append(prefix[-1] | 1 << v)
-    suffix = [0]
-    for v in reversed(by_right):
-        suffix.append(suffix[-1] | 1 << v)
-    suffix.reverse()
+    lefts, opens_after = _later_masks([left for left, _ in r.intervals])
+    rights, closes_from = _later_masks([right for _, right in r.intervals])
+    full = opens_after[0]
     return [
-        prefix[bisect_right(lefts, right)] & suffix[bisect_left(rights, left)]
+        (full ^ opens_after[bisect_right(lefts, right)]) & closes_from[bisect_left(rights, left)]
         for left, right in r.intervals
     ]
+
+
+def _later_masks(keys):
+    """(sorted_keys, masks): the keys of vertices 0..n-1 in ascending
+    order, and for i = 0..n, masks[i] the bitmask of the vertices whose
+    key is not among the i smallest.
+
+    masks[0] holds every vertex and masks[n] none.  Ties share their
+    masks at both ends of their run, so masks[bisect_right(sorted_keys,
+    t)] holds the vertices keyed after t and masks[bisect_left(sorted_keys,
+    t)] those keyed at t or after.  The masks are suffix ORs over the
+    sorted vertices: O(n log n) in all.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    masks = [0]
+    for v in reversed(order):
+        masks.append(masks[-1] | 1 << v)
+    masks.reverse()
+    return [keys[v] for v in order], masks
 
 
 def endpoint_orders(r):

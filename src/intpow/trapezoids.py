@@ -2,18 +2,17 @@
 search over endpoint interleavings."""
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from . import _records
 from .errors import ParseError, VertexSetMismatchError
 from .graphs import Graph
-from .intervals import WeakOrder
+from .intervals import WeakOrder, _later_masks
 
 __all__ = [
     "TrapezoidRepresentation",
     "count_interleavings",
     "count_interleavings_filter",
-    "enumerate_interleavings",
     "format_orders",
     "format_trapezoid",
     "load_orders",
@@ -50,10 +49,6 @@ class TrapezoidRepresentation:
     def n(self):
         return len(self.rows)
 
-    def interval(self, v, line):
-        l0, r0, l1, r1 = self.rows[v]
-        return (l0, r0) if line == 0 else (l1, r1)
-
     def __eq__(self, other):
         if not isinstance(other, TrapezoidRepresentation):
             return NotImplemented
@@ -68,17 +63,24 @@ class TrapezoidRepresentation:
 
 def trapezoid_intersection_graph(t):
     """Two trapezoids are disjoint exactly when one ends strictly before
-    the other starts on both lines; every other pair is an edge."""
-    edges = []
-    for u in range(t.n):
-        l0u, r0u, l1u, r1u = t.rows[u]
-        for v in range(u + 1, t.n):
-            l0v, r0v, l1v, r1v = t.rows[v]
-            u_before_v = r0u < l0v and r1u < l1v
-            v_before_u = r0v < l0u and r1v < l1u
-            if not (u_before_v or v_before_u):
-                edges.append((u, v))
-    return Graph(t.n, edges)
+    the other starts on both lines; every other pair is an edge.
+
+    Per line, `_later_masks` over the lefts and over the rights gives, by
+    bisection, the vertices opening after x closes and those closing
+    before x opens.  ANDed across the two lines they are x's
+    non-neighbours, so the rows cost O(n log n) plus a few big-int
+    operations per vertex and become the graph through `Graph._from_rows`.
+    """
+    full = (1 << t.n) - 1
+    after = [full] * t.n
+    before = [full] * t.n
+    for line in (0, 2):
+        lefts, opens_after = _later_masks([row[line] for row in t.rows])
+        rights, closes_from = _later_masks([row[line + 1] for row in t.rows])
+        for x, row in enumerate(t.rows):
+            after[x] &= opens_after[bisect_right(lefts, row[line + 1])]
+            before[x] &= full ^ closes_from[bisect_left(rights, row[line])]
+    return Graph._from_rows([full ^ (a | b) for a, b in zip(after, before)])
 
 
 def trapezoid_orders(t):
@@ -105,55 +107,6 @@ def p5_representation():
     )
 
 
-def enumerate_interleavings(left_order, right_order):
-    """Return an iterator over every merge of the two endpoint sequences
-    on one line, each as the list of (left, right) event positions
-    0..2n-1 per vertex.
-
-    left_order and right_order must be strict; the merge keeps both
-    subsequences intact and opens every vertex before closing it.  Results
-    stream in lexicographic order of their event strings, the open-event
-    branch first.  Order validation happens eagerly, before the first item
-    is requested.
-    """
-    opens, closes = _strict_pair(left_order, right_order)
-    n = len(opens)
-    open_position = {v: i for i, v in enumerate(opens)}
-
-    def walk():
-        # Lexicographic successor: pop events until an open can become the
-        # next close, place that close, then open the rest and close the rest.
-        # `is_open` holds the event kinds placed so far; an event's position
-        # is written when it is placed, so a popped one is rewritten before
-        # the next yield.
-        left = [0] * n
-        right = [0] * n
-        is_open = []
-        i = j = 0
-        while True:
-            for v in opens[i:]:
-                left[v] = len(is_open)
-                is_open.append(True)
-            for v in closes[j:]:
-                right[v] = len(is_open)
-                is_open.append(False)
-            yield list(zip(left, right))
-            i = n
-            while is_open:
-                if is_open.pop():
-                    i -= 1
-                    j = len(is_open) - i
-                    if open_position[closes[j]] < i:
-                        break
-            else:
-                return
-            right[closes[j]] = len(is_open)
-            is_open.append(False)
-            j += 1
-
-    return walk()
-
-
 def count_interleavings(left_order, right_order):
     """Count the merges of one line's two strict orders in O(n^2).
 
@@ -177,7 +130,7 @@ def count_interleavings_filter(left_order, right_order):
     """Count the merges by filtering all C(2n, n) placements of the open
     events: a placement is a merge when the open slot of closes[j] comes
     before the j-th close slot for every j.  Brute-force cross-check for
-    enumerate_interleavings."""
+    count_interleavings."""
     opens, closes = _strict_pair(left_order, right_order)
     n = len(opens)
     slots = range(2 * n)
@@ -286,7 +239,8 @@ def search_representation(orders, target):
 def _survivors(opens, closes, apart):
     """Yield the interleavings of one line, opening in the order `opens`
     and closing in the order `closes`, on which every non-edge is disjoint,
-    as precedence masks in the enumerator's order.
+    as precedence masks in lexicographic order of their event strings, the
+    open-event branch first.
 
     apart[v] is the mask of v's non-neighbours.  Bit n*u + v of a mask is
     set when u closes before v opens; the mask determines its interleaving.
@@ -402,7 +356,7 @@ def parse_orders(text, source="<orders>"):
         raise ParseError(source, max(1, count), "expected exactly four order lines")
     orders = []
     n = None
-    for i, (label, line) in enumerate(zip(_ORDER_LABELS, _records.lines(text, end)), start=1):
+    for i, (label, line) in enumerate(zip(_ORDER_LABELS, _records.lines(text, 0, end)), start=1):
         parts = line.split()
         if not parts or parts[0] != f"{label}:":
             raise ParseError(source, i, f'line must start with "{label}:"')

@@ -30,6 +30,7 @@ from intpow import (
     trapezoid_intersection_graph,
     trapezoid_orders,
 )
+from intpow import trapezoids
 from intpow.cli import main
 
 P5_TEXT = "5 4\n1 2\n2 3\n3 4\n4 5\n"
@@ -411,8 +412,9 @@ def test_trapezoid_search_checks_sizes_before_counting(tmp_path, capsys, monkeyp
     def refuse(*args):
         raise AssertionError("interleavings counted before the size check")
 
+    # The search's only walk is _survivors; no enumerator is left to patch.
+    assert not hasattr(trapezoids, "enumerate_interleavings")
     monkeypatch.setattr("intpow.cli.count_interleavings", refuse)
-    monkeypatch.setattr("intpow.trapezoids.enumerate_interleavings", refuse)
     monkeypatch.setattr("intpow.trapezoids._survivors", refuse)
     code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph)
     assert code == 2 and stdout == ""

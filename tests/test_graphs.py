@@ -41,8 +41,8 @@ def test_graph_basic_accessors():
     assert g.n == 3
     assert g.m == 2
     assert g.neighbors(1) == (0, 2)
-    assert g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
+    assert 0 in g.neighbors(1)
+    assert 2 not in g.neighbors(0)
     for v in (3, -1):
         with pytest.raises(InvalidVertexError, match=f"vertex {v} out of range for 3 vertices"):
             g.neighbors(v)
@@ -90,10 +90,6 @@ def test_graph_matches_reference_model(case, rnd):
     assert g.m == ref.m
     for v in range(n):
         assert g.neighbors(v) == ref.neighbors(v)
-        assert g.degree(v) == ref.degree(v)
-    for u in range(-2, n + 2):
-        for v in range(-2, n + 2):
-            assert g.has_edge(u, v) == ref.has_edge(u, v)
     shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in rnd.sample(edges, len(edges))]
     twin = Graph(n, shuffled)
     assert twin == g and hash(twin) == hash(g)
@@ -408,17 +404,20 @@ def test_parse_graph_memory_on_dense_text():
 
 def test_parse_graph_streams_the_dense_text():
     # The reader holds one chunk of lines at a time: the peak is near 1.4 MB
-    # here (Python 3.11).  A list of all 72,793 lines takes 4.7 MB alone.
-    text = format_graph(random_dense_interval_graph(random.Random(5), 600))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        g = parse_graph(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.m > 70_000
-    assert peak - base < 3_500_000, peak - base
+    # here (Python 3.11), whichever line break the text uses.  A list of all
+    # 72,793 lines takes 4.7 MB alone.
+    lf = format_graph(random_dense_interval_graph(random.Random(5), 600))
+    for separator in ("\n", "\r", "\x0c"):
+        text = lf.replace("\n", separator)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m > 70_000
+        assert peak - base < 3_500_000, (separator, peak - base)
 
 
 def test_parse_reports_a_repeat_in_a_dense_file_at_its_second_occurrence():

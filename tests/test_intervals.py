@@ -60,7 +60,7 @@ def test_intersection_graph_path():
 
 def test_intersection_touching_counts():
     r = rep((0, 2), (2, 4))
-    assert intersection_graph(r).has_edge(0, 1)
+    assert 1 in intersection_graph(r).neighbors(0)
 
 
 def test_intersection_points_and_twins():
@@ -125,8 +125,8 @@ def test_weak_order_validation_and_compare():
     with pytest.raises(ValueError):
         WeakOrder([0, 2])
     order = WeakOrder([1, 0, 1])
-    assert order.compare(1, 0) == -1
-    assert order.compare(0, 2) == 0
+    assert order.ranks[1] < order.ranks[0]
+    assert order.ranks[0] == order.ranks[2]
     assert order.tie_groups() == [[1], [0, 2]]
 
 

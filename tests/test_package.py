@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "count_interleavings",
     "count_interleavings_filter",
     "endpoint_orders",
-    "enumerate_interleavings",
     "extend_representation",
     "find_containment_pair",
     "format_graph",

@@ -3,7 +3,7 @@ reference reader in testutil.
 
 Texts break their lines at every separator str.splitlines knows, "\\r\\n"
 included, and end in lines of whitespace only.  Chunk sizes down to 1 put
-a cut just after every "\\n", so "\\r\\n" pairs and lines sit at every
+a cut just after every line break, so "\\r\\n" pairs and lines sit at every
 offset from a cut.
 """
 
@@ -155,7 +155,7 @@ def test_content_and_lines_agree_with_splitlines(text, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_records, "CHUNK", chunk)
         end, count = _records.content(text)
-        lines = list(_records.lines(text, end))
+        lines = list(_records.lines(text, 0, end))
     assert end == len(text.rstrip())
     assert count == len(expected)
     assert [line.split() for line in lines] == [line.split() for line in expected]

@@ -15,7 +15,6 @@ from intpow import (
     count_interleavings,
     count_interleavings_filter,
     endpoint_orders,
-    enumerate_interleavings,
     extend_representation,
     format_orders,
     format_trapezoid,
@@ -29,10 +28,12 @@ from intpow import (
 )
 from intpow.trapezoids import _coordinates, _survivors
 from testutil import (
+    enumerate_interleavings,
     random_ballot_orders,
     random_strict_trapezoid,
     search_representation_pairs,
     search_representation_product,
+    trapezoid_intersection_graph_pairs,
 )
 
 
@@ -44,10 +45,6 @@ def test_representation_accessors():
     t = TrapezoidRepresentation([(0, 5, 1, 1), (2, 3, 0, 4)])
     assert t.n == 2
     assert t.rows == ((0, 5, 1, 1), (2, 3, 0, 4))
-    assert t.interval(0, 0) == (0, 5)
-    assert t.interval(0, 1) == (1, 1)
-    assert t.interval(1, 0) == (2, 3)
-    assert t.interval(1, 1) == (0, 4)
 
 
 def test_representation_rejects_reversed_endpoints():
@@ -59,7 +56,7 @@ def test_representation_rejects_reversed_endpoints():
 
 def test_representation_allows_point_rows():
     t = TrapezoidRepresentation([(2, 2, 2, 2)])
-    assert t.interval(0, 0) == (2, 2)
+    assert t.rows[0] == (2, 2, 2, 2)
 
 
 def test_representation_equality():
@@ -99,18 +96,41 @@ def test_intersection_invariant_under_monotone_line_remaps():
         remapped_rows = []
         maps = []
         for line in (0, 1):
-            values = sorted({c for v in range(t.n) for c in t.interval(v, line)})
+            values = sorted({c for row in t.rows for c in row[2 * line:2 * line + 2]})
             targets = sorted(rng.sample(range(-100, 100), len(values)))
             maps.append(dict(zip(values, targets)))
-        for v in range(t.n):
-            l0, r0 = t.interval(v, 0)
-            l1, r1 = t.interval(v, 1)
+        for l0, r0, l1, r1 in t.rows:
             remapped_rows.append(
                 (maps[0][l0], maps[0][r0], maps[1][l1], maps[1][r1])
             )
         remapped = TrapezoidRepresentation(remapped_rows)
         assert trapezoid_intersection_graph(remapped) == trapezoid_intersection_graph(t)
         assert trapezoid_orders(remapped) == trapezoid_orders(t)
+
+
+def test_intersection_graph_matches_pair_oracle():
+    # Coordinates in 0..12 make ties, shared endpoints and point intervals
+    # common, and some rows repeat an earlier one.  `.rows` is compared
+    # with the rows of the oracle's edges, as `_from_rows` keeps the rows
+    # it is given.
+    rng = random.Random(2106)
+    for _ in range(3000):
+        rows = []
+        for _ in range(rng.randint(0, 9)):
+            if rows and rng.random() < 0.1:
+                rows.append(rng.choice(rows))
+                continue
+            row = ()
+            for _line in range(2):
+                a = rng.randint(0, 12)
+                b = a if rng.random() < 0.2 else rng.randint(0, 12)
+                row += (min(a, b), max(a, b))
+            rows.append(row)
+        t = TrapezoidRepresentation(rows)
+        expected = trapezoid_intersection_graph_pairs(t)
+        g = trapezoid_intersection_graph(t)
+        assert g == expected
+        assert g.rows == Graph(t.n, expected.edge_set).rows
 
 
 def test_orders_example():
@@ -126,7 +146,7 @@ def test_orders_report_ties():
     t = TrapezoidRepresentation([(0, 1, 0, 1), (0, 2, 1, 1)])
     l0 = trapezoid_orders(t)[0]
     assert not l0.is_strict
-    assert l0.compare(0, 1) == 0
+    assert l0.ranks[0] == l0.ranks[1]
 
 
 def test_p5_representation_rows():
@@ -441,7 +461,7 @@ def test_first_survivor_closes_every_vertex_latest(family, n):
         lines = list(enumerate_interleavings(left, right))
         for target in targets:
             non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                         if not target.has_edge(u, v)]
+                         if v not in target.neighbors(u)]
             latest = None
             for c in lines:
                 if all(c[u][1] < c[v][0] or c[v][1] < c[u][0] for u, v in non_edges):

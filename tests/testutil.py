@@ -17,9 +17,9 @@ from intpow import (
     InvalidKError,
     NotProperError,
     TrapezoidRepresentation,
+    VertexSetMismatchError,
     WeakOrder,
     connected_components,
-    enumerate_interleavings,
     extend_representation,
     intersection_graph,
     trapezoid_intersection_graph,
@@ -184,6 +184,22 @@ def intersection_graph_pairs(r):
     return Graph(r.n, edges)
 
 
+def trapezoid_intersection_graph_pairs(t):
+    """Pair-test oracle for trapezoid_intersection_graph: u and v are
+    adjacent unless one ends strictly before the other starts on both
+    lines, every pair tested in O(n^2)."""
+    edges = []
+    for u in range(t.n):
+        l0u, r0u, l1u, r1u = t.rows[u]
+        for v in range(u + 1, t.n):
+            l0v, r0v, l1v, r1v = t.rows[v]
+            u_before_v = r0u < l0v and r1u < l1v
+            v_before_u = r0v < l0u and r1v < l1u
+            if not (u_before_v or v_before_u):
+                edges.append((u, v))
+    return Graph(t.n, edges)
+
+
 def random_dense_interval_graph(rng, n):
     """The intersection graph of n random intervals, drawn as the
     extend-dense benchmark draws them (left endpoints in 0..4n, lengths in
@@ -200,7 +216,7 @@ def first_difference_graphs(expected, actual):
     in only one of two graphs, and whether expected has it."""
     u = next(u for u in range(expected.n) if expected.neighbors(u) != actual.neighbors(u))
     v = min(set(expected.neighbors(u)).symmetric_difference(actual.neighbors(u)))
-    return (u, v), expected.has_edge(u, v)
+    return (u, v), v in expected.neighbors(u)
 
 
 def iterate_powers_chained(g, r, k_max):
@@ -258,6 +274,60 @@ def latest_close_extension(r, g, k):
     return IntervalRepresentation(coordinates)
 
 
+def enumerate_interleavings(left_order, right_order):
+    """Return an iterator over every merge of the two endpoint sequences
+    on one line, each as the list of (left, right) event positions
+    0..2n-1 per vertex.
+
+    left_order and right_order must be strict; the merge keeps both
+    subsequences intact and opens every vertex before closing it.  Results
+    stream in lexicographic order of their event strings, the open-event
+    branch first.  Order validation happens eagerly, before the first item
+    is requested.  This is the exhaustive reference that
+    count_interleavings and the search's pruned walk are checked against.
+    """
+    if left_order.n != right_order.n:
+        raise VertexSetMismatchError(
+            f"orders cover {left_order.n} and {right_order.n} vertices"
+        )
+    opens, closes = left_order.strict_sequence(), right_order.strict_sequence()
+    n = len(opens)
+    open_position = {v: i for i, v in enumerate(opens)}
+
+    def walk():
+        # Lexicographic successor: pop events until an open can become the
+        # next close, place that close, then open the rest and close the rest.
+        # `is_open` holds the event kinds placed so far; an event's position
+        # is written when it is placed, so a popped one is rewritten before
+        # the next yield.
+        left = [0] * n
+        right = [0] * n
+        is_open = []
+        i = j = 0
+        while True:
+            for v in opens[i:]:
+                left[v] = len(is_open)
+                is_open.append(True)
+            for v in closes[j:]:
+                right[v] = len(is_open)
+                is_open.append(False)
+            yield list(zip(left, right))
+            i = n
+            while is_open:
+                if is_open.pop():
+                    i -= 1
+                    j = len(is_open) - i
+                    if open_position[closes[j]] < i:
+                        break
+            else:
+                return
+            right[closes[j]] = len(is_open)
+            is_open.append(False)
+            j += 1
+
+    return walk()
+
+
 def search_representation_pairs(orders, target):
     """Brute-force oracle for search_representation: build every candidate
     trapezoid representation and compare its pair-tested intersection
@@ -291,7 +361,7 @@ def search_representation_product(orders, target):
         return (mask(c[u][1] < c[v][0] for u, v in pairs),
                 mask(c[v][1] < c[u][0] for u, v in pairs))
 
-    want = mask(not target.has_edge(u, v) for u, v in pairs)
+    want = mask(v not in target.neighbors(u) for u, v in pairs)
     line1 = [(c1, *masks(c1)) for c1 in enumerate_interleavings(l1, r1)]
     first = None
     matches = 0
@@ -378,7 +448,7 @@ def proper_to_unit_pairs(r):
                 continue
             if lefts[u] < lefts[v]:
                 edges.append((u, v, -1))
-                if g.has_edge(u, v):
+                if v in g.neighbors(u):
                     edges.append((v, u, unit))
                 else:
                     edges.append((u, v, -(unit + 1)))
@@ -418,12 +488,6 @@ class ReferenceGraph:
     def neighbors(self, v):
         return tuple(sorted(w for pair in self.edge_set if v in pair for w in pair if w != v))
 
-    def degree(self, v):
-        return len(self.neighbors(v))
-
-    def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in self.edge_set
-
     def text(self):
         """The graph file text: header "n m", then the sorted pairs, 1-based."""
         lines = [f"{self.n} {self.m}"] + [f"{u + 1} {v + 1}" for u, v in sorted(self.edge_set)]
@@ -452,7 +516,7 @@ def reference_content(text):
     return len(text), len(content_lines(text))
 
 
-def reference_lines(text, end):
+def reference_lines(text, start, end):
     """All content lines, as parse_orders reads them."""
     return iter(content_lines(text))
 
