@@ -70,16 +70,20 @@ def _step(current, k, inner, outer):
     """One extension step: from a representation that realizes the rows
     inner of G^(k-1), one of the rows outer of G^k, and its trace.
 
-    x's witness is the vertex of the sphere outer[x] minus inner[x] with
-    the largest left endpoint right of x's, the smallest id among ties.
-    The normalized input is scaled by n + 1, and the right end of every x
-    with a witness moves into the gap after the witness's left end.
-    Vertices stretched into the same gap are laid out by the order of
-    their original right endpoints, so both endpoint orders survive.
+    x's witness is the vertex of the sphere outer[x] ^ inner[x] (balls
+    grow, so inner[x] is a subset of outer[x]) with the largest left
+    endpoint right of x's, the smallest id among ties.  The normalized
+    input is scaled by n + 1, and the right end of every x with a witness
+    moves into the gap after the witness's left end.  Vertices stretched
+    into the same gap are laid out by the order of their original right
+    endpoints, so both endpoint orders survive.
 
     Only vertices opening right of x can be witnesses: `_later_masks`
     over the lefts gives them as one mask, found by bisection, which
-    each sphere is ANDed with before its bits are visited.
+    each sphere is ANDed with before its bits are visited.  The gaps are
+    laid out from one sort of (anchor, right, x) over the stretched
+    vertices: the slot restarts after each new anchor and steps at each
+    new right, so equal rights in one gap share a slot.
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
@@ -87,7 +91,7 @@ def _step(current, k, inner, outer):
     witness = []
     for x, left_x in enumerate(lefts):
         best, best_left = None, left_x
-        sphere = outer[x] & ~inner[x] & right_of[bisect_right(sorted_lefts, left_x)]
+        sphere = (outer[x] ^ inner[x]) & right_of[bisect_right(sorted_lefts, left_x)]
         while sphere:
             low = sphere & -sphere
             y = low.bit_length() - 1
@@ -100,17 +104,15 @@ def _step(current, k, inner, outer):
     n = base.n
     scale = n + 1
     new_right = [scale * base.right(x) for x in range(n)]
-    gaps = {}
-    for x in range(n):
-        if witness[x] is not None:
-            gaps.setdefault(base.left(witness[x]), []).append(x)
-    for anchor, members in gaps.items():
-        slot = {
-            value: i + 1
-            for i, value in enumerate(sorted({base.right(x) for x in members}))
-        }
-        for x in members:
-            new_right[x] = scale * anchor + slot[base.right(x)]
+    anchor = last = None
+    for left, right, x in sorted(
+        (lefts[w], base.right(x), x) for x, w in enumerate(witness) if w is not None
+    ):
+        if left != anchor:
+            anchor, last, slot = left, None, scale * left
+        if right != last:
+            last, slot = right, slot + 1
+        new_right[x] = slot
 
     extended = IntervalRepresentation(
         (scale * base.left(x), new_right[x]) for x in range(n)

@@ -30,6 +30,7 @@ from intpow.extension import _first_difference
 from testutil import (
     first_difference_graphs,
     floyd_warshall,
+    gap_layout_by_anchor,
     intersection_graph_pairs,
     iterate_powers_chained,
     latest_close_extension,
@@ -223,6 +224,48 @@ def test_witness_is_the_rightmost_then_smallest_id():
         for k in (2, 3, 4):
             _, trace = extend_representation(g, k, inputs[k - 2])
             assert trace.witness == _rightmost_witnesses(dist, k, inputs[k - 2])
+
+
+def _per_anchor_step(dist, k, previous):
+    """The output of one extension step to G^k from previous, with
+    witnesses from Floyd-Warshall distances and the gap layout of
+    gap_layout_by_anchor."""
+    base = normalize(previous)
+    scale = base.n + 1
+    witness = _rightmost_witnesses(dist, k, previous)
+    new_right = gap_layout_by_anchor(base, witness, scale)
+    rep = IntervalRepresentation(
+        (scale * left, right) for (left, _), right in zip(base.intervals, new_right)
+    )
+    return rep, ExtensionTrace(k, scale, witness, tuple(new_right))
+
+
+def test_gap_layout_matches_the_per_anchor_layout():
+    """Whole outputs of iterate_powers and extend_representation against the
+    per-anchor gap layout, on coordinates in 0..4, 0..8 or 0..12, which
+    put several stretched vertices into one gap, with equal and with
+    distinct original rights."""
+    rng = random.Random(53)
+    shared_rights = distinct_rights = 0
+    for trial in range(300):
+        r = random_representation(rng, max_n=16, coord_max=rng.choice([4, 8, 12]))
+        g = intersection_graph(r)
+        dist = floyd_warshall(g)
+        previous = r
+        for k, rep, trace in iterate_powers(g, r, 2 + trial % 4):
+            expected = _per_anchor_step(dist, k, previous)
+            assert (rep, trace) == expected
+            assert extend_representation(g, k, previous) == expected
+            base = normalize(previous)
+            gaps = {}
+            for x, w in enumerate(trace.witness):
+                if w is not None:
+                    gaps.setdefault(base.left(w), []).append(base.right(x))
+            for rights in gaps.values():
+                shared_rights += len(set(rights)) < len(rights)
+                distinct_rights += len(set(rights)) > 1
+            previous = rep
+    assert shared_rights > 50 and distinct_rights > 50
 
 
 def test_iterate_powers_p5_chain():

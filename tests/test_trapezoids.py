@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -247,13 +248,24 @@ def test_enumerate_matches_filter_count_on_divergent_orders():
 
 def test_count_matches_enumerator_and_filter():
     rng = random.Random(29)
-    for n in range(8):
-        for _ in range(4):
+    for n in range(9):
+        for _ in range(6):
             left = WeakOrder.from_sequence(rng.sample(range(n), n))
             right = WeakOrder.from_sequence(rng.sample(range(n), n))
             expected = count_interleavings_filter(left, right)
             assert count_interleavings(left, right) == expected
             assert sum(1 for _ in enumerate_interleavings(left, right)) == expected
+
+
+def test_filter_matches_count_on_every_small_pair():
+    # n = 0 included: its one placement, with no opens, is one merge.
+    empty = WeakOrder.from_sequence([])
+    assert count_interleavings_filter(empty, empty) == 1
+    for n in range(5):
+        orders = [WeakOrder.from_sequence(list(p)) for p in itertools.permutations(range(n))]
+        for left in orders:
+            for right in orders:
+                assert count_interleavings_filter(left, right) == count_interleavings(left, right)
 
 
 def test_enumerate_rejects_tied_orders():

@@ -274,6 +274,30 @@ def latest_close_extension(r, g, k):
     return IntervalRepresentation(coordinates)
 
 
+def gap_layout_by_anchor(base, witness, scale):
+    """Oracle for the extension step's gap layout: the new right endpoints
+    of the normalized input base, given its witnesses and the scale.
+
+    Vertices are grouped by their witness's left endpoint, one dict entry
+    per gap; in each gap the distinct original rights, sorted, take the
+    slots 1, 2, ... after the scaled anchor.  A vertex without a witness
+    keeps its scaled right endpoint.
+    """
+    new_right = [scale * base.right(x) for x in range(base.n)]
+    gaps = {}
+    for x, w in enumerate(witness):
+        if w is not None:
+            gaps.setdefault(base.left(w), []).append(x)
+    for anchor, members in gaps.items():
+        slot = {
+            value: i + 1
+            for i, value in enumerate(sorted({base.right(x) for x in members}))
+        }
+        for x in members:
+            new_right[x] = scale * anchor + slot[base.right(x)]
+    return new_right
+
+
 def enumerate_interleavings(left_order, right_order):
     """Return an iterator over every merge of the two endpoint sequences
     on one line, each as the list of (left, right) event positions
