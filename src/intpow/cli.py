@@ -78,6 +78,11 @@ def cmd_extend(args):
         steps = [(args.k, *extend_representation(g, args.k, r))]
     all_ok = True
     for k, rep, trace in steps:
+        # A step's files are written before the lines that report them.
+        if args.out:
+            save_representation(rep, _step_path(args.out, k, args.iterate))
+        if args.trace:
+            save_trace(trace, _step_path(args.trace, k, args.iterate))
         out_left, out_right = endpoint_orders(rep)
         balls = widen_balls(g, balls) if args.iterate else _power_rows(g, k)
         graph_ok = intersection_rows(rep) == balls
@@ -89,10 +94,6 @@ def cmd_extend(args):
         print(f"GRAPH: {'OK' if graph_ok else 'MISMATCH'}")
         print(f"ORDER_L: {'PRESERVED' if left_ok else 'VIOLATED'}")
         print(f"ORDER_R: {'PRESERVED' if right_ok else 'VIOLATED'}")
-        if args.out:
-            save_representation(rep, _step_path(args.out, k, args.iterate))
-        if args.trace:
-            save_trace(trace, _step_path(args.trace, k, args.iterate))
     print(f"RESULT: {'OK' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
 
@@ -110,11 +111,11 @@ def cmd_tounit(args):
         u, v = exc.witness
         print(f"WITNESS: {u + 1} contains {v + 1}")
         return 1
-    print("PROPER: yes")
-    print(f"U: {r.n * r.n}")
     if args.out:
         save_representation(unit, args.out)
-    else:
+    print("PROPER: yes")
+    print(f"U: {r.n * r.n}")
+    if not args.out:
         sys.stdout.write(format_representation(unit))
     return 0
 
@@ -127,14 +128,11 @@ def cmd_verify(args):
     for name, rep in (("representation", r), (args.against, other)):
         if rep is not None and rep.n != g.n:
             raise VertexSetMismatchError(f"graph has {g.n} vertices, {name} has {rep.n}")
-    expected = list(graph_power_oracle(g, args.k).rows)
-    actual = intersection_rows(r)
-    ok = actual == expected
-    if ok:
-        print("GRAPH: OK")
-    else:
-        print("GRAPH: MISMATCH")
-        (u, v), missing = _first_difference(expected, actual)
+    found = _first_difference(graph_power_oracle(g, args.k).rows, intersection_rows(r))
+    ok = found is None
+    print(f"GRAPH: {'OK' if ok else 'MISMATCH'}")
+    if not ok:
+        (u, v), missing = found
         print(f"{'MISSING_EDGE' if missing else 'EXTRA_EDGE'}: {u + 1} {v + 1}")
     if other is not None:
         left_a, right_a = endpoint_orders(r)
@@ -168,10 +166,10 @@ def cmd_trapezoid_search(args):
     first, matches = search_representation(orders, target)
     line0 = count_interleavings(orders[0], orders[1])
     line1 = count_interleavings(orders[2], orders[3])
-    print(f"CANDIDATES: {line0 * line1}")
-    print(f"MATCHES: {matches}")
     if first is not None and args.out:
         save_trapezoid(first, args.out)
+    print(f"CANDIDATES: {line0 * line1}")
+    print(f"MATCHES: {matches}")
     return 0
 
 

@@ -50,8 +50,9 @@ def extend_representation(g, k, r):
     laid out by the order of their original right endpoints, so both
     endpoint orders survive.
 
-    The input is checked against rows of the (k-1)-th power and the
-    witnesses are read from rows of the k-th, each built from n BFS runs.
+    The input is checked once, against rows of the (k-1)-th power, and the
+    step reads only rows of the k-th; each set of rows is built from n BFS
+    runs.
 
     Returns the new representation and an ExtensionTrace.
     """
@@ -61,44 +62,45 @@ def extend_representation(g, k, r):
         raise VertexSetMismatchError(
             f"graph has {g.n} vertices, representation has {r.n}"
         )
-    inner = _power_rows(g, k - 1)
-    _check_realizes(r, inner, k - 1)
-    return _step(r, k, inner, _power_rows(g, k))
+    _check_realizes(r, _power_rows(g, k - 1), k - 1)
+    return _step(r, k, _power_rows(g, k))
 
 
-def _step(current, k, inner, outer):
-    """One extension step: from a representation that realizes the rows
-    inner of G^(k-1), one of the rows outer of G^k, and its trace.
+def _step(current, k, outer):
+    """One extension step: from a representation that realizes G^(k-1),
+    one of the rows outer of G^k, and its trace.
 
-    x's witness is the vertex of the sphere outer[x] ^ inner[x] (balls
-    grow, so inner[x] is a subset of outer[x]) with the largest left
-    endpoint right of x's, the smallest id among ties.  The normalized
-    input is scaled by n + 1, and the right end of every x with a witness
-    moves into the gap after the witness's left end.  Vertices stretched
-    into the same gap are laid out by the order of their original right
-    endpoints, so both endpoint orders survive.
+    x's witness is the vertex of outer[x] that opens after x closes with
+    the largest left endpoint, the smallest id among ties.  These are the
+    vertices of the sphere, exactly k away, that open right of x: a vertex
+    within k - 1 meets x, so it opens at or before x closes, and a sphere
+    vertex opening right of x is disjoint from x, so it opens after x
+    closes.  The normalized input is scaled by n + 1, and the right end of
+    every x with a witness moves into the gap after the witness's left
+    end.  Vertices stretched into the same gap are laid out by the order
+    of their original right endpoints, so both endpoint orders survive.
 
-    Only vertices opening right of x can be witnesses: `_later_masks`
-    over the lefts gives them as one mask, found by bisection, which
-    each sphere is ANDed with before its bits are visited.  The gaps are
-    laid out from one sort of (anchor, right, x) over the stretched
-    vertices: the slot restarts after each new anchor and steps at each
-    new right, so equal rights in one gap share a slot.
+    `_later_masks` over the lefts gives the vertices opening after x
+    closes as one mask, found by bisection, which outer[x] is ANDed with
+    before its bits are visited.  The gaps are laid out from one sort of
+    (anchor, right, x) over the stretched vertices: the slot restarts
+    after each new anchor and steps at each new right, so equal rights in
+    one gap share a slot.
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
     sorted_lefts, right_of = _later_masks(lefts)
     witness = []
-    for x, left_x in enumerate(lefts):
-        best, best_left = None, left_x
-        sphere = (outer[x] ^ inner[x]) & right_of[bisect_right(sorted_lefts, left_x)]
-        while sphere:
-            low = sphere & -sphere
+    for x, (_, right_x) in enumerate(base.intervals):
+        best, best_left = None, right_x
+        later = outer[x] & right_of[bisect_right(sorted_lefts, right_x)]
+        while later:
+            low = later & -later
             y = low.bit_length() - 1
             # Ids ascend, so a strict test keeps the smallest among ties.
             if lefts[y] > best_left:
                 best, best_left = y, lefts[y]
-            sphere ^= low
+            later ^= low
         witness.append(best)
 
     n = base.n
@@ -125,25 +127,28 @@ def _step(current, k, inner, outer):
 
 def _first_difference(expected, actual):
     """The smallest pair u < v set in only one of two lists of symmetric
-    adjacency rows, and whether expected holds it.
+    adjacency rows, and whether expected holds it; None when the rows
+    agree.
 
     The first differing row is u: a differing bit v < u would have made
     row v differ first.  Its lowest differing bit is v.
     """
-    u = next(u for u, (a, b) in enumerate(zip(expected, actual)) if a != b)
-    diff = expected[u] ^ actual[u]
-    v = (diff & -diff).bit_length() - 1
-    return (u, v), bool(expected[u] >> v & 1)
+    for u, (a, b) in enumerate(zip(expected, actual)):
+        diff = a ^ b
+        if diff:
+            v = (diff & -diff).bit_length() - 1
+            return (u, v), bool(a >> v & 1)
+    return None
 
 
 def _check_realizes(r, expected, power):
-    """Raise RepresentationMismatchError, naming the first differing pair,
-    unless the intervals of r meet exactly where the rows `expected` of
-    the power-th power say."""
-    actual = intersection_rows(r)
-    if actual == list(expected):
+    """Raise RepresentationMismatchError, naming the pair that
+    `_first_difference` finds, unless the intervals of r meet exactly where
+    the rows `expected` of the power-th power say."""
+    found = _first_difference(expected, intersection_rows(r))
+    if found is None:
         return
-    (u, v), missing = _first_difference(expected, actual)
+    (u, v), missing = found
     if missing:
         message = (
             f"representation does not realize the required power: vertices "
@@ -165,11 +170,12 @@ def iterate_powers(g, r, k_max):
     Returns a list of (k, representation, trace) for k = 2..k_max; each
     step feeds the previous output back in, so every chain member keeps
     the endpoint orders of r.  The result, errors included, is that of
-    one extend_representation call per k, but no BFS runs: two lists of
-    distance balls, B_(k-1) and B_k, are carried from step to step and
-    widened by one hop per k, from B_1 = g.rows.  Step k checks its input
-    by comparing intersection_rows with B_(k-1) and takes its witnesses
-    from the spheres B_k(x) minus B_(k-1)(x), as extend_representation
+    one extend_representation call per k, but no BFS runs.  r is checked
+    once, against B_1 = g.rows: by the theorem each step turns a
+    representation of G^(k-1) into one of G^k, so no member is checked
+    again.  One
+    list of distance balls is carried along and widened by one hop per k,
+    and step k reads its witnesses from B_k alone, as extend_representation
     does.  That costs n + 2m big-int ORs plus O(n log n) per step,
     k_max * (n + 2m) ORs for the chain.
     """
@@ -179,15 +185,14 @@ def iterate_powers(g, r, k_max):
         raise VertexSetMismatchError(
             f"graph has {g.n} vertices, representation has {r.n}"
         )
-    inner = g.rows
+    _check_realizes(r, g.rows, 1)
+    balls = g.rows
     chain = []
     current = r
     for k in range(2, k_max + 1):
-        _check_realizes(current, inner, k - 1)
-        outer = widen_balls(g, inner)
-        current, trace = _step(current, k, inner, outer)
+        balls = widen_balls(g, balls)
+        current, trace = _step(current, k, balls)
         chain.append((k, current, trace))
-        inner = outer
     return chain
 
 

@@ -219,6 +219,31 @@ def test_extend_recheck_reports_mismatch(tmp_path, capsys, monkeypatch):
         assert stderr == ""
 
 
+@pytest.mark.parametrize("option", ["--out", "--trace"])
+def test_extend_writes_its_files_before_reporting_them(tmp_path, capsys, option):
+    graph = write(tmp_path / "p4.graph", P4_TEXT)
+    rep = write(tmp_path / "p4.rep", P4_REP_TEXT)
+    unwritable = tmp_path / "missing" / "p4sq"
+    code, stdout, stderr = run(capsys, "extend", graph, rep, "2", option, str(unwritable))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
+
+
+def test_extend_iterate_reports_only_the_steps_it_wrote(tmp_path, capsys):
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    (tmp_path / "chain.trace.k3").mkdir()  # a directory: the k=3 trace cannot be written
+    code, stdout, stderr = run(
+        capsys, "extend", graph, rep, "4", "--iterate",
+        "--out", str(tmp_path / "chain.rep"), "--trace", str(tmp_path / "chain.trace"),
+    )
+    assert code == 2
+    assert stdout == "K: 2\nSCALE: 6\nGRAPH: OK\nORDER_L: PRESERVED\nORDER_R: PRESERVED\n"
+    assert stderr.startswith("error:")
+    assert load_trace(tmp_path / "chain.trace.k2").k == 2
+
+
 def test_extend_rejects_k_below_two(tmp_path, capsys):
     graph = write(tmp_path / "p4.graph", P4_TEXT)
     rep = write(tmp_path / "p4.rep", P4_REP_TEXT)
@@ -257,6 +282,14 @@ def test_tounit_reports_containment_witness(tmp_path, capsys):
     assert code == 1
     assert stdout == "PROPER: no\nWITNESS: 1 contains 2\n"
     assert not out.exists()
+
+
+def test_tounit_writes_its_file_before_reporting_it(tmp_path, capsys):
+    rep = write(tmp_path / "proper.rep", "3\n1 0 2\n2 1 3\n3 3 5\n")
+    code, stdout, stderr = run(capsys, "tounit", rep, "--out", str(tmp_path / "missing" / "u.rep"))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
 
 
 def test_verify_base_rep_fails_against_square(tmp_path, capsys):
@@ -391,6 +424,16 @@ def test_trapezoid_search_reports_zero_for_p5_square(tmp_path, capsys):
     assert code == 0
     assert stdout == "CANDIDATES: 1764\nMATCHES: 0\n"
     assert not out.exists()
+
+
+def test_trapezoid_search_writes_its_match_before_reporting(tmp_path, capsys):
+    orders = write(tmp_path / "p5.orders", P5_ORDERS_TEXT)
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    unwritable = tmp_path / "missing" / "t.trap"
+    code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph, "--out", str(unwritable))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
 
 
 def test_trapezoid_search_rejects_size_mismatch(tmp_path, capsys):

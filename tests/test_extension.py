@@ -26,6 +26,7 @@ from intpow import (
     parse_trace,
     same_orders,
 )
+from intpow import extension
 from intpow.extension import _first_difference
 from testutil import (
     first_difference_graphs,
@@ -137,6 +138,9 @@ def test_first_difference_matches_graph_oracle():
                     assert found == first_difference_graphs(expected, actual)
                     flags.add(found[1])
     assert flags == {False, True}
+    for n in range(6):
+        rows = list(Graph.complete(n).rows)
+        assert _first_difference(rows, list(rows)) is None
 
 
 def test_left_endpoints_are_scaled_normalized_lefts():
@@ -325,21 +329,52 @@ def _outcome(run, *args):
 
 
 def test_iterate_matches_the_latest_close_oracle():
-    # Gap: only strict endpoint orders are covered.  The extension also
-    # accepts ties (tied opens move as a block); the oracle does not.
+    """Every chain member to G^5 has the graph and the endpoint orders,
+    ties included, of the latest-close oracle, on strict connected starts
+    and on small coordinate ranges that force ties and disconnected
+    graphs."""
     rng = random.Random(43)
-    for _ in range(200):
-        r = random_strict_connected_representation(rng, max_n=40)
+    starts = [random_strict_connected_representation(rng, max_n=40) for _ in range(200)]
+    starts += [random_representation(rng, max_n=30, coord_max=rng.choice([4, 8, 12])) for _ in range(200)]
+    tied = 0
+    for r in starts:
         g = intersection_graph(r)
         dist = floyd_warshall(g)
         orders = endpoint_orders(r)
+        tied += not (orders[0].is_strict and orders[1].is_strict)
         for k, rep, _ in iterate_powers(g, r, 5):
             oracle = latest_close_extension(r, g, k)
-            within_k = {(u, v) for u in range(r.n) for v in range(u + 1, r.n) if dist[u][v] <= k}
+            within_k = {
+                (u, v) for u in range(r.n) for v in range(u + 1, r.n)
+                if dist[u][v] is not None and dist[u][v] <= k
+            }
             assert intersection_graph_pairs(oracle).edge_set == within_k
             assert endpoint_orders(oracle) == orders
             assert intersection_graph(rep) == intersection_graph(oracle)
             assert endpoint_orders(rep) == orders
+    assert tied >= 150
+
+
+def test_each_entry_point_checks_its_input_once(monkeypatch):
+    """iterate_powers checks r against g once, whatever k_max, and
+    extend_representation checks its input once; no chain member is
+    checked again."""
+    calls = []
+    check = extension._check_realizes
+
+    def counted(r, expected, power):
+        calls.append(power)
+        return check(r, expected, power)
+
+    monkeypatch.setattr(extension, "_check_realizes", counted)
+    for k_max in range(2, 7):
+        calls.clear()
+        chain = iterate_powers(P5, P5_REP, k_max)
+        assert calls == [1]
+        for k, rep, _ in chain[:-1]:
+            calls.clear()
+            extend_representation(P5, k + 1, rep)
+            assert calls == [k]
 
 
 def test_iterate_errors_match_chained_extensions():

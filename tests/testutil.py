@@ -238,40 +238,39 @@ def iterate_powers_chained(g, r, k_max):
 
 def latest_close_extension(r, g, k):
     """One-line oracle for the theorem: an interval representation of G^k
-    with r's endpoint orders, every coordinate in 0..2n-1.
+    with r's endpoint orders, ties included, every coordinate in 0..2n-1.
 
-    r must realize g with strict orders.  Opens follow r's left order and
-    closes r's right order; each close is placed as late as the
-    later-opening non-neighbours in G^k of it, and of every later close,
-    allow: before the close of vertex u, the opens up to (not including)
-    the first such non-neighbour are placed.  The targets come from
-    floyd_warshall, so this shares no code with the extension step,
+    r must realize g.  Opens are grouped into blocks of equal left
+    endpoints and closes into blocks of equal right endpoints; each block
+    takes one coordinate, opens in r's left order and closes in r's right
+    order.  Each close block is placed as late as the later-opening
+    non-neighbours in G^k of its members, and of the members of every
+    later close block, allow: before it go the open blocks up to (not
+    including) the first that holds such a non-neighbour.  The targets come
+    from floyd_warshall, so this shares no code with the extension step,
     widen_balls or the trapezoid search.
     """
-    if len({left for left, _ in r.intervals}) < r.n or len({right for _, right in r.intervals}) < r.n:
-        raise ValueError("latest_close_extension needs strict endpoint orders")
     dist = floyd_warshall(g)
-    opens = sorted(range(r.n), key=lambda v: r.intervals[v][0])
-    closes = sorted(range(r.n), key=lambda v: r.intervals[v][1])
-    position = {v: i for i, v in enumerate(opens)}
-    opened_before = [0] * r.n  # by close rank: opens placed before that close
-    bound = r.n
-    for j in reversed(range(r.n)):
-        u = closes[j]
-        for i in range(position[u] + 1, r.n):
-            d = dist[u][opens[i]]
-            if d is None or d > k:
-                bound = min(bound, i)
-                break
-        opened_before[j] = bound
-    coordinates = [[None, None] for _ in range(r.n)]
-    placed = 0
-    for j, u in enumerate(closes):
-        while placed < opened_before[j]:
-            coordinates[opens[placed]][0] = placed + j
-            placed += 1
-        coordinates[u][1] = placed + j
-    return IntervalRepresentation(coordinates)
+    lefts = sorted({left for left, _ in r.intervals})
+    rights = sorted({right for _, right in r.intervals})
+    opens = [lefts.index(left) for left, _ in r.intervals]
+    closes = [rights.index(right) for _, right in r.intervals]
+    first_far = [
+        min(
+            (opens[v] for v in range(r.n)
+             if opens[v] > opens[u] and (dist[u][v] is None or dist[u][v] > k)),
+            default=len(lefts),
+        )
+        for u in range(r.n)
+    ]
+    # By close block: the open blocks placed before it.
+    opened_before = [
+        min(first_far[u] for u in range(r.n) if closes[u] >= j) for j in range(len(rights))
+    ]
+    return IntervalRepresentation(
+        (i + sum(before <= i for before in opened_before), opened_before[j] + j)
+        for i, j in zip(opens, closes)
+    )
 
 
 def gap_layout_by_anchor(base, witness, scale):
