@@ -16,7 +16,7 @@ from .errors import (
     RepresentationMismatchError,
     VertexSetMismatchError,
 )
-from .extension import _first_difference, extend_representation, iterate_powers, save_trace
+from .extension import _chain, _first_difference, extend_representation, save_trace
 from .graphs import (
     Graph,
     _power_rows,
@@ -25,7 +25,6 @@ from .graphs import (
     graph_power_oracle,
     load_graph,
     save_graph,
-    widen_balls,
 )
 from .intervals import (
     endpoint_orders,
@@ -69,22 +68,21 @@ def cmd_extend(args):
     g = load_graph(args.graph)
     r = load_representation(args.rep)
     base_left, base_right = endpoint_orders(r)
+    # Each step comes with the rows of G^k it is checked against: the
+    # balls the chain widened for it with --iterate, n more BFS runs
+    # without.
     if args.iterate:
-        steps = iterate_powers(g, r, args.k)
-        # The re-check builds its own rows of each power: balls widened
-        # from B_1 here, or n BFS runs per step without --iterate.
-        balls = g.rows
+        steps = _chain(g, r, args.k)
     else:
-        steps = [(args.k, *extend_representation(g, args.k, r))]
+        steps = [(args.k, *extend_representation(g, args.k, r), _power_rows(g, args.k))]
     all_ok = True
-    for k, rep, trace in steps:
+    for k, rep, trace, balls in steps:
         # A step's files are written before the lines that report them.
         if args.out:
             save_representation(rep, _step_path(args.out, k, args.iterate))
         if args.trace:
             save_trace(trace, _step_path(args.trace, k, args.iterate))
         out_left, out_right = endpoint_orders(rep)
-        balls = widen_balls(g, balls) if args.iterate else _power_rows(g, k)
         graph_ok = intersection_rows(rep) == balls
         left_ok = same_orders(base_left, out_left)
         right_ok = same_orders(base_right, out_right)

@@ -22,6 +22,11 @@ class IntpowError(Exception):
     IntervalRepresentation (a left endpoint above its right one),
     WeakOrder and TrapezoidRepresentation.  A vertex id out of range
     raises InvalidVertexError, in Graph too.
+
+    Messages name vertices 1-based, as the text formats do, also where
+    the vertex is a position in a list given to a constructor.  Only
+    vertex ids the caller passed are named as passed: InvalidVertexError
+    and Graph's edge messages.
     """
 
 

@@ -173,12 +173,18 @@ def iterate_powers(g, r, k_max):
     one extend_representation call per k, but no BFS runs.  r is checked
     once, against B_1 = g.rows: by the theorem each step turns a
     representation of G^(k-1) into one of G^k, so no member is checked
-    again.  One
-    list of distance balls is carried along and widened by one hop per k,
-    and step k reads its witnesses from B_k alone, as extend_representation
-    does.  That costs n + 2m big-int ORs plus O(n log n) per step,
-    k_max * (n + 2m) ORs for the chain.
+    again.  One list of distance balls is carried along and widened by
+    one hop per k, and step k reads its witnesses from B_k alone, as
+    extend_representation does.  That costs n + 2m big-int ORs plus
+    O(n log n) per step, k_max * (n + 2m) ORs for the chain.
     """
+    return [(k, rep, trace) for k, rep, trace, _ in _chain(g, r, k_max)]
+
+
+def _chain(g, r, k_max):
+    """The body of iterate_powers as a stream: yields (k, representation,
+    trace, balls) per step, balls being the rows of G^k that the step
+    read.  The checks run at the first next(), before any element."""
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
     if r.n != g.n:
@@ -187,13 +193,11 @@ def iterate_powers(g, r, k_max):
         )
     _check_realizes(r, g.rows, 1)
     balls = g.rows
-    chain = []
     current = r
     for k in range(2, k_max + 1):
         balls = widen_balls(g, balls)
         current, trace = _step(current, k, balls)
-        chain.append((k, current, trace))
-    return chain
+        yield k, current, trace, balls
 
 
 def format_trace(trace):

@@ -49,10 +49,10 @@ class IntervalRepresentation:
         rows = []
         for v, (left, right) in enumerate(intervals):
             if left > right:
-                raise ValueError(f"vertex {v}: left endpoint {left} exceeds right {right}")
+                raise ValueError(f"vertex {v + 1}: left endpoint {left} exceeds right {right}")
             if left < INT64_MIN or right > INT64_MAX:
                 raise CoordinateOverflowError(
-                    f"vertex {v}: interval [{left}, {right}] leaves the 64-bit range"
+                    f"vertex {v + 1}: interval [{left}, {right}] leaves the 64-bit range"
                 )
             rows.append((left, right))
         self.intervals = tuple(rows)

@@ -42,7 +42,7 @@ class TrapezoidRepresentation:
         for v, row in enumerate(rows):
             l0, r0, l1, r1 = row
             if l0 > r0 or l1 > r1:
-                raise ValueError(f"vertex {v}: interval endpoints out of order")
+                raise ValueError(f"vertex {v + 1}: interval endpoints out of order")
             cleaned.append((l0, r0, l1, r1))
         self.rows = tuple(cleaned)
 

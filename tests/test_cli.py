@@ -29,6 +29,7 @@ from intpow import (
     search_representation,
     trapezoid_intersection_graph,
     trapezoid_orders,
+    widen_balls,
 )
 from intpow import trapezoids
 from intpow.cli import main
@@ -198,17 +199,16 @@ def test_extend_rejects_non_realizing_representation(tmp_path, capsys):
 
 
 def test_extend_recheck_reports_mismatch(tmp_path, capsys, monkeypatch):
-    # An extension that hands back its input realizes P5 but none of its
-    # powers, so the re-check flags every step, single and chained.
-    def unchanged(g, k, r):
-        rights = tuple(right for _, right in r.intervals)
-        return r, ExtensionTrace(k=k, scale=1, witness=(None,) * r.n, new_right=rights)
+    # A step that hands back its input realizes P5 but none of its
+    # powers, so the re-check flags every step, single and chained: the
+    # rows each step read catch a bad step.
+    def unchanged(current, k, outer):
+        rights = tuple(right for _, right in current.intervals)
+        return current, ExtensionTrace(
+            k=k, scale=1, witness=(None,) * current.n, new_right=rights
+        )
 
-    def unchanged_chain(g, r, k_max):
-        return [(k, *unchanged(g, k, r)) for k in range(2, k_max + 1)]
-
-    monkeypatch.setattr("intpow.cli.extend_representation", unchanged)
-    monkeypatch.setattr("intpow.cli.iterate_powers", unchanged_chain)
+    monkeypatch.setattr("intpow.extension._step", unchanged)
     graph = write(tmp_path / "p5.graph", P5_TEXT)
     rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
     step = "K: {}\nSCALE: 1\nGRAPH: MISMATCH\nORDER_L: PRESERVED\nORDER_R: PRESERVED\n"
@@ -242,6 +242,53 @@ def test_extend_iterate_reports_only_the_steps_it_wrote(tmp_path, capsys):
     assert stdout == "K: 2\nSCALE: 6\nGRAPH: OK\nORDER_L: PRESERVED\nORDER_R: PRESERVED\n"
     assert stderr.startswith("error:")
     assert load_trace(tmp_path / "chain.trace.k2").k == 2
+
+
+def test_extend_iterate_widens_each_power_once(tmp_path, capsys, monkeypatch):
+    # The re-check compares each member with the balls its step read, so
+    # a chain to G^5 widens four times in all.
+    calls = []
+
+    def counting(g, balls):
+        calls.append(g)
+        return widen_balls(g, balls)
+
+    monkeypatch.setattr("intpow.extension.widen_balls", counting)
+    monkeypatch.setattr("intpow.cli.widen_balls", counting, raising=False)
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    code, stdout, _ = run(capsys, "extend", graph, rep, "5", "--iterate")
+    assert code == 0 and stdout.endswith("RESULT: OK\n")
+    assert len(calls) == 4
+
+
+def test_extend_iterate_keeps_the_steps_before_a_chain_error(tmp_path, capsys):
+    # Scaled by 4 per step, P3 from 2^59 leaves the 64-bit range at G^3.
+    base = 2**59
+    graph = write(tmp_path / "p3.graph", "3 2\n1 2\n2 3\n")
+    rep = write(
+        tmp_path / "p3.rep",
+        f"3\n1 {base} {base + 2}\n2 {base + 1} {base + 4}\n3 {base + 3} {base + 5}\n",
+    )
+    files = {}
+    for name, k in (("good", "2"), ("bad", "3")):
+        out, trace = tmp_path / f"{name}.rep", tmp_path / f"{name}.trace"
+        result = run(
+            capsys, "extend", graph, rep, k, "--iterate", "--out", str(out), "--trace", str(trace)
+        )
+        files[name] = [path.with_name(f"{path.name}.k2").read_bytes() for path in (out, trace)]
+        assert not out.with_name(f"{out.name}.k3").exists()
+        assert not trace.with_name(f"{trace.name}.k3").exists()
+        if name == "good":
+            good = result
+    code, stdout, stderr = result
+    assert good[0] == 0 and good[1].endswith("RESULT: OK\n")
+    assert code == 2
+    assert stdout == good[1].removesuffix("RESULT: OK\n")
+    assert stdout.startswith("K: 2\n") and "RESULT:" not in stdout
+    assert stderr.startswith("error: vertex 1: interval [")
+    assert stderr.endswith("] leaves the 64-bit range\n")
+    assert files["bad"] == files["good"]
 
 
 def test_extend_rejects_k_below_two(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intpow import (
+    CoordinateOverflowError,
     ExtensionTrace,
     Graph,
     IntervalRepresentation,
@@ -298,6 +299,17 @@ def test_iterate_rejects_k_max_below_two():
 def test_iterate_rejects_non_realizing_start():
     with pytest.raises(RepresentationMismatchError):
         iterate_powers(P4, IntervalRepresentation([(0, 9), (1, 2), (3, 4), (5, 6)]), 3)
+
+
+def test_chain_overflow_names_the_vertex_one_based():
+    # Scaled by n + 1 = 4 per step, P3 from 2^59 leaves the 64-bit range
+    # at G^3, first at vertex 1's right endpoint.
+    base = 2**59
+    r = IntervalRepresentation([(base, base + 2), (base + 1, base + 4), (base + 3, base + 5)])
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert [k for k, _, _ in iterate_powers(g, r, 2)] == [2]
+    with pytest.raises(CoordinateOverflowError, match="^vertex 1: interval"):
+        iterate_powers(g, r, 3)
 
 
 def test_iterate_matches_chained_extensions():

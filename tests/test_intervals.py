@@ -53,6 +53,17 @@ def test_representation_validation():
         rep((-(2**63) - 1, 0))
 
 
+def test_representation_errors_name_vertices_one_based():
+    with pytest.raises(ValueError, match="^vertex 1: left endpoint 3 exceeds right 2$"):
+        rep((3, 2))
+    with pytest.raises(ValueError, match="^vertex 2: left endpoint 3 exceeds right 2$"):
+        rep((0, 1), (3, 2))
+    with pytest.raises(CoordinateOverflowError, match="^vertex 1: interval"):
+        rep((0, 2**63))
+    with pytest.raises(CoordinateOverflowError, match="^vertex 2: interval"):
+        rep((0, 1), (-(2**63) - 1, 0))
+
+
 def test_intersection_graph_path():
     r = rep((0, 2), (1, 4), (3, 6), (5, 7))
     assert intersection_graph(r) == Graph.path(4)

@@ -55,6 +55,13 @@ def test_representation_rejects_reversed_endpoints():
         TrapezoidRepresentation([(0, 1, 3, 2)])
 
 
+def test_representation_errors_name_vertices_one_based():
+    with pytest.raises(ValueError, match="^vertex 1: interval endpoints out of order$"):
+        TrapezoidRepresentation([(0, 1, 3, 2)])
+    with pytest.raises(ValueError, match="^vertex 2: interval endpoints out of order$"):
+        TrapezoidRepresentation([(0, 1, 2, 3), (1, 0, 2, 3)])
+
+
 def test_representation_allows_point_rows():
     t = TrapezoidRepresentation([(2, 2, 2, 2)])
     assert t.rows[0] == (2, 2, 2, 2)
