@@ -270,25 +270,22 @@ def test_extend_iterate_keeps_the_steps_before_a_chain_error(tmp_path, capsys):
         tmp_path / "p3.rep",
         f"3\n1 {base} {base + 2}\n2 {base + 1} {base + 4}\n3 {base + 3} {base + 5}\n",
     )
-    files = {}
-    for name, k in (("good", "2"), ("bad", "3")):
-        out, trace = tmp_path / f"{name}.rep", tmp_path / f"{name}.trace"
-        result = run(
-            capsys, "extend", graph, rep, k, "--iterate", "--out", str(out), "--trace", str(trace)
-        )
-        files[name] = [path.with_name(f"{path.name}.k2").read_bytes() for path in (out, trace)]
-        assert not out.with_name(f"{out.name}.k3").exists()
-        assert not trace.with_name(f"{trace.name}.k3").exists()
-        if name == "good":
-            good = result
-    code, stdout, stderr = result
-    assert good[0] == 0 and good[1].endswith("RESULT: OK\n")
+
+    def extend(name, k):
+        out, trace = (str(tmp_path / f"{name}.{kind}") for kind in ("rep", "trace"))
+        result = run(capsys, "extend", graph, rep, k, "--iterate", "--out", out, "--trace", trace)
+        written = sorted(tmp_path.glob(f"{name}.*"))
+        return result, {path.name.removeprefix(name): path.read_bytes() for path in written}
+
+    (good_code, good_out, _), good_files = extend("good", "2")
+    (code, stdout, stderr), files = extend("bad", "3")
+    assert good_code == 0 and good_out.startswith("K: 2\n")
     assert code == 2
-    assert stdout == good[1].removesuffix("RESULT: OK\n")
-    assert stdout.startswith("K: 2\n") and "RESULT:" not in stdout
+    assert stdout == good_out.removesuffix("RESULT: OK\n")
     assert stderr.startswith("error: vertex 1: interval [")
     assert stderr.endswith("] leaves the 64-bit range\n")
-    assert files["bad"] == files["good"]
+    assert list(files) == [".rep.k2", ".trace.k2"]
+    assert files == good_files
 
 
 def test_extend_rejects_k_below_two(tmp_path, capsys):
