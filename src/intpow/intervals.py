@@ -3,6 +3,7 @@ the proper / unit transformations."""
 
 from bisect import bisect_left, bisect_right
 from math import inf
+from operator import and_, or_
 
 from . import _records
 from .errors import (
@@ -47,7 +48,11 @@ class IntervalRepresentation:
 
     def __init__(self, intervals):
         rows = []
-        for v, (left, right) in enumerate(intervals):
+        for v, row in enumerate(intervals):
+            try:
+                left, right = row
+            except ValueError:
+                raise ValueError(f"vertex {v + 1}: expected 2 coordinates, got {len(row)}") from None
             if left > right:
                 raise ValueError(f"vertex {v + 1}: left endpoint {left} exceeds right {right}")
             if left < INT64_MIN or right > INT64_MAX:
@@ -159,21 +164,35 @@ def intersection_graph(r):
 
 def intersection_rows(r):
     """Closed neighbourhoods as bitmasks: bit y of entry x is set iff the
-    intervals of x and y meet, x itself included.
+    intervals of x and y meet, x itself included.  The one-line case of
+    `_meeting_rows`."""
+    return _meeting_rows([r.intervals])
 
-    y meets x iff left(y) <= right(x) and right(y) >= left(x): y is not
-    among the vertices opening after x closes, and is among those closing
-    at or after x opens.  `_later_masks` over the lefts and over the rights
-    gives each side as one mask found by bisection, so the whole costs
-    O(n log n) plus two big-int operations per vertex, with no edge list.
+
+def _meeting_rows(lines):
+    """Closed neighbourhoods as bitmasks of vertices that hold one closed
+    interval on each line: bit y of entry x is set iff x and y meet.
+
+    lines holds one list per line of one (left, right) per vertex.  x and
+    y are apart exactly when y opens after x closes on every line, or
+    closes before x opens on every line.  Per line, `_later_masks` over
+    the lefts and over the rights gives, by bisection, the vertices
+    opening after x closes and those closing at or after x opens; the
+    first are ANDed across the lines and the second ORed, and row x is
+    what the second holds outside the first.  So each line costs
+    O(n log n) plus a few big-int operations per vertex, with no edge list.
     """
-    lefts, opens_after = _later_masks([left for left, _ in r.intervals])
-    rights, closes_from = _later_masks([right for _, right in r.intervals])
+    after = reach = None
+    for line in lines:
+        lefts, rights = [left for left, _ in line], [right for _, right in line]
+        sorted_lefts, opens_after = _later_masks(lefts)
+        sorted_rights, closes_from = _later_masks(rights)
+        line_after = [opens_after[bisect_right(sorted_lefts, right)] for right in rights]
+        line_reach = [closes_from[bisect_left(sorted_rights, left)] for left in lefts]
+        after = line_after if after is None else list(map(and_, after, line_after))
+        reach = line_reach if reach is None else list(map(or_, reach, line_reach))
     full = opens_after[0]
-    return [
-        (full ^ opens_after[bisect_right(lefts, right)]) & closes_from[bisect_left(rights, left)]
-        for left, right in r.intervals
-    ]
+    return [(full ^ a) & c for a, c in zip(after, reach)]
 
 
 def _later_masks(keys):
@@ -197,10 +216,12 @@ def _later_masks(keys):
 
 def endpoint_orders(r):
     """The weak orders induced by left and by right endpoints."""
-    return (
-        WeakOrder.from_keys(left for left, _ in r.intervals),
-        WeakOrder.from_keys(right for _, right in r.intervals),
-    )
+    return _column_orders(r.intervals, 2)
+
+
+def _column_orders(rows, width):
+    """The weak order of each of the first `width` coordinates of rows."""
+    return tuple(WeakOrder.from_keys(row[i] for row in rows) for i in range(width))
 
 
 def same_orders(first, second):

@@ -2,13 +2,13 @@
 search over endpoint interleavings."""
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from operator import le
 
 from . import _records
 from .errors import ParseError, VertexSetMismatchError
 from .graphs import Graph
-from .intervals import WeakOrder, _later_masks
+from .intervals import WeakOrder, _column_orders, _meeting_rows
 
 __all__ = [
     "TrapezoidRepresentation",
@@ -40,7 +40,10 @@ class TrapezoidRepresentation:
     def __init__(self, rows):
         cleaned = []
         for v, row in enumerate(rows):
-            l0, r0, l1, r1 = row
+            try:
+                l0, r0, l1, r1 = row
+            except ValueError:
+                raise ValueError(f"vertex {v + 1}: expected 4 coordinates, got {len(row)}") from None
             if l0 > r0 or l1 > r1:
                 raise ValueError(f"vertex {v + 1}: interval endpoints out of order")
             cleaned.append((l0, r0, l1, r1))
@@ -64,34 +67,15 @@ class TrapezoidRepresentation:
 
 def trapezoid_intersection_graph(t):
     """Two trapezoids are disjoint exactly when one ends strictly before
-    the other starts on both lines; every other pair is an edge.
-
-    Per line, `_later_masks` over the lefts and over the rights gives, by
-    bisection, the vertices opening after x closes and those closing
-    before x opens.  ANDed across the two lines they are x's
-    non-neighbours, so the rows cost O(n log n) plus a few big-int
-    operations per vertex and become the graph through `Graph._from_rows`.
-    """
-    full = (1 << t.n) - 1
-    after = [full] * t.n
-    before = [full] * t.n
-    for line in (0, 2):
-        lefts, opens_after = _later_masks([row[line] for row in t.rows])
-        rights, closes_from = _later_masks([row[line + 1] for row in t.rows])
-        for x, row in enumerate(t.rows):
-            after[x] &= opens_after[bisect_right(lefts, row[line + 1])]
-            before[x] &= full ^ closes_from[bisect_left(rights, row[line])]
-    return Graph._from_rows([full ^ (a | b) for a, b in zip(after, before)])
+    the other starts on both lines; every other pair is an edge.  The
+    rows come from `_meeting_rows` over the two lines."""
+    lines = [[row[:2] for row in t.rows], [row[2:] for row in t.rows]]
+    return Graph._from_rows(_meeting_rows(lines))
 
 
 def trapezoid_orders(t):
     """The four endpoint orders (L0, R0, L1, R1)."""
-    return (
-        WeakOrder.from_keys(row[0] for row in t.rows),
-        WeakOrder.from_keys(row[1] for row in t.rows),
-        WeakOrder.from_keys(row[2] for row in t.rows),
-        WeakOrder.from_keys(row[3] for row in t.rows),
-    )
+    return _column_orders(t.rows, 4)
 
 
 def p5_representation():

@@ -64,6 +64,13 @@ def test_representation_errors_name_vertices_one_based():
         rep((0, 1), (-(2**63) - 1, 0))
 
 
+def test_representation_names_the_vertex_of_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError, match="^vertex 2: expected 2 coordinates, got 3$"):
+        rep((0, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match="^vertex 1: expected 2 coordinates, got 1$"):
+        rep((0,))
+
+
 def test_intersection_graph_path():
     r = rep((0, 2), (1, 4), (3, 6), (5, 7))
     assert intersection_graph(r) == Graph.path(4)

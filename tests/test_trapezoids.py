@@ -20,6 +20,9 @@ from intpow import (
     format_orders,
     format_trapezoid,
     graph_power,
+    intersection_graph,
+    intersection_rows,
+    iterate_powers,
     p5_representation,
     parse_orders,
     parse_trapezoid,
@@ -31,6 +34,8 @@ from intpow.trapezoids import _coordinates, _survivors
 from testutil import (
     enumerate_interleavings,
     random_ballot_orders,
+    random_representation,
+    random_strict_connected_representation,
     random_strict_trapezoid,
     search_representation_pairs,
     search_representation_product,
@@ -60,6 +65,13 @@ def test_representation_errors_name_vertices_one_based():
         TrapezoidRepresentation([(0, 1, 3, 2)])
     with pytest.raises(ValueError, match="^vertex 2: interval endpoints out of order$"):
         TrapezoidRepresentation([(0, 1, 2, 3), (1, 0, 2, 3)])
+
+
+def test_representation_names_the_vertex_of_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError, match="^vertex 2: expected 4 coordinates, got 3$"):
+        TrapezoidRepresentation([(0, 1, 0, 1), (0, 1, 2)])
+    with pytest.raises(ValueError, match="^vertex 1: expected 4 coordinates, got 5$"):
+        TrapezoidRepresentation([(0, 1, 0, 1, 2)])
 
 
 def test_representation_allows_point_rows():
@@ -139,6 +151,20 @@ def test_intersection_graph_matches_pair_oracle():
         g = trapezoid_intersection_graph(t)
         assert g == expected
         assert g.rows == Graph(t.n, expected.edge_set).rows
+
+
+def test_one_line_equals_two_equal_lines():
+    # A trapezoid whose two lines both repeat an interval representation
+    # has that representation's graph and orders: the two-line and the
+    # one-line calls of the shared rows builder and orders routine agree.
+    # Coordinates in 0..12 make ties and point intervals common.
+    rng = random.Random(2601)
+    for _ in range(2000):
+        r = random_representation(rng, max_n=9, coord_max=12)
+        t = TrapezoidRepresentation([(left, right, left, right) for left, right in r.intervals])
+        assert trapezoid_intersection_graph(t) == intersection_graph(r)
+        assert list(trapezoid_intersection_graph(t).rows) == intersection_rows(r)
+        assert trapezoid_orders(t) == endpoint_orders(r) * 2
 
 
 def test_orders_example():
@@ -557,6 +583,31 @@ def test_search_accepts_interval_orders_for_p5_square():
     )
     assert matches >= 1
     assert trapezoid_intersection_graph(first) == graph_power(p5, 2)
+
+
+def test_one_line_first_survivor_is_the_extension():
+    # Two production routes to the paper's positive result: on a strict
+    # start r, the first one-line survivor under r's orders, against the
+    # non-edges of G^k, is the chain member for G^k, event for event.  The
+    # survivor comes from the lattice walk, the member from `_step`'s
+    # witnesses, gaps and scale.
+    rng = random.Random(2602)
+    steps = 0
+    for _ in range(1500):
+        r = random_strict_connected_representation(rng, max_n=9)
+        left, right = endpoint_orders(r)
+        opens, closes = left.strict_sequence(), right.strict_sequence()
+        g = intersection_graph(r)
+        full = (1 << r.n) - 1
+        for k, member, _ in iterate_powers(g, r, 4):
+            apart = [full ^ row for row in graph_power(g, k).rows]
+            survivor = _coordinates(opens, closes, next(_survivors(opens, closes, apart)))
+            coordinates = [c for row in member.intervals for c in row]
+            rank = {c: i for i, c in enumerate(sorted(coordinates))}
+            assert len(rank) == 2 * r.n
+            assert survivor == [(rank[lo], rank[hi]) for lo, hi in member.intervals]
+            steps += 1
+    assert steps == 4500
 
 
 def test_search_candidate_space_size_for_p5_orders():
