@@ -13,6 +13,7 @@ from intpow import (
     count_interleavings,
     endpoint_orders,
     extend_representation,
+    format_graph,
     graph_power,
     intersection_graph,
     load_graph,
@@ -38,6 +39,7 @@ P5_TEXT = "5 4\n1 2\n2 3\n3 4\n4 5\n"
 P5_SQUARED_TEXT = "5 7\n1 2\n1 3\n2 3\n2 4\n3 4\n3 5\n4 5\n"
 P4_TEXT = "4 3\n1 2\n2 3\n3 4\n"
 P4_REP_TEXT = "4\n1 0 2\n2 1 4\n3 3 6\n4 5 7\n"
+P5_REP_TEXT = "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n"
 P5_ORDERS_TEXT = "L0: 1 3 2 5 4\nR0: 1 3 2 5 4\nL1: 2 1 4 3 5\nR1: 2 1 4 3 5\n"
 
 
@@ -50,6 +52,15 @@ def run(capsys, *argv):
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def path_text(n):
+    return f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n))
+
+
+def identity_orders_text(n):
+    identity = " ".join(str(v) for v in range(1, n + 1))
+    return "".join(f"{label}: {identity}\n" for label in ("L0", "R0", "L1", "R1"))
 
 
 def test_power_identity_is_byte_exact(tmp_path, capsys):
@@ -65,6 +76,30 @@ def test_power_square_to_stdout(tmp_path, capsys):
     code, stdout, _ = run(capsys, "power", graph, "2")
     assert code == 0
     assert stdout == P5_SQUARED_TEXT
+
+
+def test_power_far_past_the_diameter_is_complete(tmp_path, capsys):
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    assert run(capsys, "power", graph, str(10**9)) == (0, format_graph(Graph.complete(5)), "")
+
+
+def test_power_square_of_a_long_path(tmp_path, capsys):
+    n = 5000
+    graph = write(tmp_path / "path.graph", path_text(n))
+    started = time.perf_counter()
+    code, stdout, stderr = run(capsys, "power", graph, "2")
+    elapsed = time.perf_counter() - started
+    assert code == 0 and stderr == ""
+    assert stdout == f"{n} {2 * n - 3}\n" + "".join(
+        f"{v} {w}\n" for v in range(1, n + 1) for w in (v + 1, v + 2) if w <= n)
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("separator", ["\r\n", "\r"])
+def test_power_reads_crlf_and_cr_files_with_a_blank_tail(tmp_path, capsys, separator):
+    graph = tmp_path / "p5.graph"
+    graph.write_bytes((P5_TEXT + "\n\n").replace("\n", separator).encode())
+    assert run(capsys, "power", str(graph), "2") == (0, P5_SQUARED_TEXT, "")
 
 
 def test_power_rejects_k_zero(tmp_path, capsys):
@@ -95,6 +130,17 @@ def test_huge_vertex_count_is_a_parse_error(tmp_path, capsys):
     assert stderr == (
         f"error: {graph}:1: vertex count 9223372036854775807 exceeds the limit 1048576\n"
     )
+
+
+@pytest.mark.parametrize("separator", ["\n", "\r\n"])
+def test_edge_count_error_names_the_file_as_given(tmp_path, capsys, monkeypatch, separator):
+    # The same message for LF and CRLF files, read by a relative path.
+    over = tmp_path / "over.graph"
+    over.write_bytes("5 5\n1 2\n2 3\n3 4\n4 5\n".replace("\n", separator).encode())
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, "power", "over.graph", "2")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: over.graph:1: expected 5 edge lines, found 4\n"
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -150,7 +196,7 @@ def test_extend_worked_example(tmp_path, capsys):
 
 def test_extend_iterate_writes_suffixed_files(tmp_path, capsys):
     graph = write(tmp_path / "p5.graph", P5_TEXT)
-    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
     out = tmp_path / "chain.rep"
     trace = tmp_path / "chain.trace"
     code, stdout, _ = run(
@@ -162,6 +208,7 @@ def test_extend_iterate_writes_suffixed_files(tmp_path, capsys):
     assert "K: 2\n" in stdout and "K: 3\n" in stdout and "K: 4\n" in stdout
     assert stdout.count("ORDER_L: PRESERVED") == 3
     assert stdout.count("ORDER_R: PRESERVED") == 3
+    assert stdout.count("GRAPH: OK\n") == 3
     assert stdout.endswith("RESULT: OK\n")
     p5 = load_graph(graph)
     for k in (2, 3, 4):
@@ -210,7 +257,7 @@ def test_extend_recheck_reports_mismatch(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("intpow.extension._step", unchanged)
     graph = write(tmp_path / "p5.graph", P5_TEXT)
-    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
     step = "K: {}\nSCALE: 1\nGRAPH: MISMATCH\nORDER_L: PRESERVED\nORDER_R: PRESERVED\n"
     for argv, ks in ((["2"], [2]), (["3", "--iterate"], [2, 3])):
         code, stdout, stderr = run(capsys, "extend", graph, rep, *argv)
@@ -232,7 +279,7 @@ def test_extend_writes_its_files_before_reporting_them(tmp_path, capsys, option)
 
 def test_extend_iterate_reports_only_the_steps_it_wrote(tmp_path, capsys):
     graph = write(tmp_path / "p5.graph", P5_TEXT)
-    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
     (tmp_path / "chain.trace.k3").mkdir()  # a directory: the k=3 trace cannot be written
     code, stdout, stderr = run(
         capsys, "extend", graph, rep, "4", "--iterate",
@@ -256,7 +303,7 @@ def test_extend_iterate_widens_each_power_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("intpow.extension.widen_balls", counting)
     monkeypatch.setattr("intpow.cli.widen_balls", counting, raising=False)
     graph = write(tmp_path / "p5.graph", P5_TEXT)
-    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
     code, stdout, _ = run(capsys, "extend", graph, rep, "5", "--iterate")
     assert code == 0 and stdout.endswith("RESULT: OK\n")
     assert len(calls) == 4
@@ -286,6 +333,35 @@ def test_extend_iterate_keeps_the_steps_before_a_chain_error(tmp_path, capsys):
     assert stderr.endswith("] leaves the 64-bit range\n")
     assert list(files) == [".rep.k2", ".trace.k2"]
     assert files == good_files
+
+
+def test_extend_iterate_refuses_a_start_that_does_not_realize_g(tmp_path, capsys):
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
+    square = str(tmp_path / "p5sq.rep")
+    report = "K: 2\nSCALE: 6\nGRAPH: OK\nORDER_L: PRESERVED\nORDER_R: PRESERVED\nRESULT: OK\n"
+    assert run(capsys, "extend", graph, rep, "2", "--out", square) == (0, report, "")
+    code, stdout, stderr = run(capsys, "extend", graph, square, "3", "--iterate")
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error:")
+
+
+def test_extend_iterate_on_a_long_path_stops_at_the_64_bit_range(tmp_path, capsys):
+    # Each step scales the unit-gap path with n = 1000 by 1001, so G^7
+    # leaves the 64-bit range: G^2..G^6 are written and reported, then
+    # the chain exits 2 without a RESULT line.
+    n = 1000
+    graph = write(tmp_path / "path.graph", path_text(n))
+    rep = write(tmp_path / "path.rep",
+                f"{n}\n" + "".join(f"{v} {v - 1} {v}\n" for v in range(1, n + 1)))
+    out = str(tmp_path / "chain")
+    code, stdout, stderr = run(capsys, "extend", graph, rep, "7", "--iterate", "--out", out)
+    assert code == 2
+    written = sorted(path.name for path in tmp_path.glob("chain.*"))
+    assert written == [f"chain.k{k}" for k in range(2, 7)]
+    assert stdout.count("GRAPH: OK\n") == 5
+    assert "RESULT:" not in stdout
+    assert stderr.startswith("error: vertex 1:")
 
 
 def test_extend_rejects_k_below_two(tmp_path, capsys):
@@ -354,7 +430,7 @@ def test_verify_complete_power(tmp_path, capsys):
 
 def test_verify_accepts_true_power(tmp_path, capsys):
     graph = write(tmp_path / "p5.graph", P5_TEXT)
-    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
     code, stdout, _ = run(capsys, "verify", graph, "1", rep)
     assert code == 0
     assert stdout == "GRAPH: OK\n"
@@ -378,7 +454,7 @@ def test_verify_reports_minimum_extra_edge(tmp_path, capsys):
 
 def test_verify_against_same_orders(tmp_path, capsys):
     graph = write(tmp_path / "p5.graph", P5_TEXT)
-    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
     doubled = write(tmp_path / "wide.rep", "5\n1 0 4\n2 2 8\n3 6 12\n4 10 16\n5 14 18\n")
     code, stdout, _ = run(capsys, "verify", graph, "1", rep, "--against", doubled)
     assert code == 0
@@ -387,11 +463,21 @@ def test_verify_against_same_orders(tmp_path, capsys):
 
 def test_verify_against_different_orders_fails(tmp_path, capsys):
     graph = write(tmp_path / "p5.graph", P5_TEXT)
-    rep = write(tmp_path / "p5.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 9\n")
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
     tied = write(tmp_path / "tied.rep", "5\n1 0 2\n2 1 4\n3 3 6\n4 5 8\n5 7 8\n")
     code, stdout, _ = run(capsys, "verify", graph, "1", rep, "--against", tied)
     assert code == 1
     assert stdout == "GRAPH: OK\nORDER_L: SAME\nORDER_R: DIFFERENT\n"
+
+
+def test_verify_far_past_the_diameter_on_p5(tmp_path, capsys):
+    graph = write(tmp_path / "p5.graph", P5_TEXT)
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
+    started = time.perf_counter()
+    result = run(capsys, "verify", graph, str(10**9), rep)
+    elapsed = time.perf_counter() - started
+    assert result == (1, "GRAPH: MISMATCH\nMISSING_EDGE: 1 3\n", "")
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
 
 
 def test_verify_rejects_vertex_count_mismatch_with_equal_edges(tmp_path, capsys):
@@ -437,6 +523,11 @@ def test_verify_large_k_on_dense_graph_stops_at_the_diameter(tmp_path, capsys):
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
+def test_orders_renders_strict_orders(tmp_path, capsys):
+    rep = write(tmp_path / "p5.rep", P5_REP_TEXT)
+    assert run(capsys, "orders", rep) == (0, "L: 1 < 2 < 3 < 4 < 5\nR: 1 < 2 < 3 < 4 < 5\n", "")
+
+
 def test_orders_renders_tie_groups(tmp_path, capsys):
     rep = write(tmp_path / "ties.rep", "3\n1 0 2\n2 0 4\n3 3 4\n")
     code, stdout, _ = run(capsys, "orders", rep)
@@ -453,9 +544,20 @@ def test_trapezoid_search_finds_p5_control(tmp_path, capsys):
     )
     assert code == 0
     assert stdout == "CANDIDATES: 1764\nMATCHES: 16\n"
+    assert run(capsys, "trapezoid-search", orders, graph) == (code, stdout, "")
+    assert out.read_bytes() == b"5\n1 0 1 1 3\n2 3 5 0 2\n3 2 4 5 7\n4 7 9 4 6\n5 6 8 8 9\n"
     found = load_trapezoid(out)
     assert trapezoid_intersection_graph(found) == load_graph(graph)
     assert trapezoid_orders(found) == load_orders(orders)
+
+
+def test_trapezoid_search_identity_orders_realize_p5_square(tmp_path, capsys):
+    orders = write(tmp_path / "id5.orders", identity_orders_text(5))
+    graph = write(tmp_path / "p5sq.graph", P5_SQUARED_TEXT)
+    out = tmp_path / "sq.trap"
+    code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph, "--out", str(out))
+    assert (code, stdout, stderr) == (0, "CANDIDATES: 1764\nMATCHES: 123\n", "")
+    assert out.read_bytes() == b"5\n1 0 3 0 3\n2 1 5 1 5\n3 2 7 2 7\n4 4 8 4 8\n5 6 9 6 9\n"
 
 
 def test_trapezoid_search_reports_zero_for_p5_square(tmp_path, capsys):
@@ -491,9 +593,7 @@ def test_trapezoid_search_rejects_size_mismatch(tmp_path, capsys):
 def test_trapezoid_search_checks_sizes_before_counting(tmp_path, capsys, monkeypatch):
     # Identity orders on 20 vertices have Catalan(20) interleavings per
     # line; a size mismatch must be reported without enumerating them.
-    identity = " ".join(str(v) for v in range(1, 21))
-    orders = write(tmp_path / "big.orders", "".join(
-        f"{label}: {identity}\n" for label in ("L0", "R0", "L1", "R1")))
+    orders = write(tmp_path / "big.orders", identity_orders_text(20))
     graph = write(tmp_path / "three.graph", "3 0\n")
 
     def refuse(*args):
@@ -528,14 +628,31 @@ def test_trapezoid_search_on_long_identity_orders(tmp_path, capsys):
     # per line lays the intervals out one after another, 1200 events deep.
     n = 600
     identity = WeakOrder.from_sequence(list(range(n)))
-    orders = write(tmp_path / "identity.orders", "".join(
-        f"{label}: {' '.join(str(v) for v in range(1, n + 1))}\n"
-        for label in ("L0", "R0", "L1", "R1")))
+    orders = write(tmp_path / "identity.orders", identity_orders_text(n))
     graph = write(tmp_path / "empty.graph", f"{n} 0\n")
+    started = time.perf_counter()
     code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph)
+    elapsed = time.perf_counter() - started
     assert code == 0 and stderr == ""
     candidates = count_interleavings(identity, identity) ** 2
     assert stdout == f"CANDIDATES: {candidates}\nMATCHES: 1\n"
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
+def test_trapezoid_search_refuses_k60_minus_an_edge(tmp_path, capsys):
+    n = 60
+    identity = WeakOrder.from_sequence(list(range(n)))
+    orders = write(tmp_path / "id60.orders", identity_orders_text(n))
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) != (2, 3)]
+    graph = write(tmp_path / "k60minus.graph",
+                  f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    started = time.perf_counter()
+    code, stdout, stderr = run(capsys, "trapezoid-search", orders, graph)
+    elapsed = time.perf_counter() - started
+    assert code == 0 and stderr == ""
+    candidates = count_interleavings(identity, identity) ** 2
+    assert stdout == f"CANDIDATES: {candidates}\nMATCHES: 0\n"
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
 
 
 def test_p5_demo_report(capsys):
@@ -554,14 +671,14 @@ def test_p5_demo_report(capsys):
     )
 
 
-def test_p5_demo_target_override_hook():
+def test_search_under_the_p5_orders_finds_16_realizations_of_p5():
     # What the demo's search finds when P5 itself is the target.
     orders = trapezoid_orders(p5_representation())
     _, matches = search_representation(orders, Graph.path(5))
     assert matches == 16
 
 
-def test_p5_demo_orders_override_hook():
+def test_square_and_p5_are_realizable_under_the_squares_interval_orders():
     # Under the orders of an interval representation of the square,
     # duplicated on both lines, the square is realizable.
     p5 = Graph.path(5)

@@ -7,8 +7,6 @@ from pathlib import Path
 import intpow
 from intpow import errors
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 PUBLIC_NAMES = [
     "CoordinateOverflowError",
     "ExtensionTrace",
@@ -71,10 +69,15 @@ PUBLIC_NAMES = [
 
 
 def _modules_loaded_by(statement):
-    """Names in sys.modules after a fresh interpreter runs statement."""
+    """Names in sys.modules after a fresh interpreter runs statement.
+
+    The interpreter imports the intpow under test: the copy this process
+    imported, from the sources or from an installed package.
+    """
+    home = Path(intpow.__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, "-c", f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(home)},
         capture_output=True,
         text=True,
         check=True,

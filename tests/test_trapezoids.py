@@ -290,6 +290,16 @@ def test_count_matches_enumerator_and_filter():
             assert sum(1 for _ in enumerate_interleavings(left, right)) == expected
 
 
+def test_filter_matches_count_on_identity_orders_at_n11():
+    # C(22, 11) = 705,432 placements, each tested by the filter.
+    identity = WeakOrder.from_sequence(list(range(11)))
+    started = time.perf_counter()
+    assert count_interleavings_filter(identity, identity) == catalan(11) == 58786
+    elapsed = time.perf_counter() - started
+    assert count_interleavings(identity, identity) == 58786
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
 def test_filter_matches_count_on_every_small_pair():
     # n = 0 included: its one placement, with no opens, is one merge.
     empty = WeakOrder.from_sequence([])
