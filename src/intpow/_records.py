@@ -1,7 +1,8 @@
-"""The text layout shared by every file format: UTF-8, a header line,
-then one record per line of whitespace-separated fields, trailing blank
-lines ignored, 1-based vertex ids, LF line endings on write.  Records are
-checked lazily in file order, so the first bad line is the one reported.
+"""The text layout shared by every file format: UTF-8, a leading
+byte-order mark ignored, a header line, then one record per line of
+whitespace-separated fields, trailing blank lines ignored, 1-based vertex
+ids, LF line endings on write.  Records are checked lazily in file order,
+so the first bad line is the one reported.
 
 No reader holds all lines of a text at once.  `content` finds the end of
 the content by stripping pieces of at most CHUNK characters, then counts
@@ -134,12 +135,13 @@ def render(rows):
 
 
 def load(path, parse):
-    """parse(text, source=path) on the UTF-8 contents of path; the bytes
-    read are dropped before parse runs."""
+    """parse(text, source=path) on the UTF-8 contents of path, less one
+    leading byte-order mark, dropped after decoding so that an error names
+    the file's own byte; the bytes read are dropped before parse runs."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].decode("utf-8")
         line = len((before + "?").splitlines())

@@ -14,9 +14,8 @@ from .errors import (
     IntpowError,
     NotProperError,
     RepresentationMismatchError,
-    VertexSetMismatchError,
 )
-from .extension import _chain, _first_difference, extend_representation, save_trace
+from .extension import _chain, _check_size, _first_difference, extend_representation, save_trace
 from .graphs import (
     Graph,
     _power_rows,
@@ -67,7 +66,7 @@ def cmd_extend(args):
             return 2
     g = load_graph(args.graph)
     r = load_representation(args.rep)
-    base_left, base_right = endpoint_orders(r)
+    base_orders = endpoint_orders(r)
     # Each step comes with the rows of G^k it is checked against: the
     # balls the chain widened for it with --iterate, n more BFS runs
     # without.
@@ -82,10 +81,8 @@ def cmd_extend(args):
             save_representation(rep, _step_path(args.out, k, args.iterate))
         if args.trace:
             save_trace(trace, _step_path(args.trace, k, args.iterate))
-        out_left, out_right = endpoint_orders(rep)
         graph_ok = intersection_rows(rep) == balls
-        left_ok = same_orders(base_left, out_left)
-        right_ok = same_orders(base_right, out_right)
+        left_ok, right_ok = map(same_orders, base_orders, endpoint_orders(rep))
         all_ok = all_ok and graph_ok and left_ok and right_ok
         print(f"K: {k}")
         print(f"SCALE: {trace.scale}")
@@ -124,8 +121,8 @@ def cmd_verify(args):
     other = load_representation(args.against) if args.against else None
     # Both sizes are checked before any report line is printed.
     for name, rep in (("representation", r), (args.against, other)):
-        if rep is not None and rep.n != g.n:
-            raise VertexSetMismatchError(f"graph has {g.n} vertices, {name} has {rep.n}")
+        if rep is not None:
+            _check_size(g, rep, name)
     found = _first_difference(graph_power_oracle(g, args.k).rows, intersection_rows(r))
     ok = found is None
     print(f"GRAPH: {'OK' if ok else 'MISMATCH'}")
@@ -133,10 +130,7 @@ def cmd_verify(args):
         (u, v), missing = found
         print(f"{'MISSING_EDGE' if missing else 'EXTRA_EDGE'}: {u + 1} {v + 1}")
     if other is not None:
-        left_a, right_a = endpoint_orders(r)
-        left_b, right_b = endpoint_orders(other)
-        left_same = same_orders(left_a, left_b)
-        right_same = same_orders(right_a, right_b)
+        left_same, right_same = map(same_orders, endpoint_orders(r), endpoint_orders(other))
         print(f"ORDER_L: {'SAME' if left_same else 'DIFFERENT'}")
         print(f"ORDER_R: {'SAME' if right_same else 'DIFFERENT'}")
         ok = ok and left_same and right_same

@@ -58,12 +58,16 @@ def extend_representation(g, k, r):
     """
     if k < 2:
         raise InvalidKError(f"extension requires k >= 2, got {k}")
-    if r.n != g.n:
-        raise VertexSetMismatchError(
-            f"graph has {g.n} vertices, representation has {r.n}"
-        )
+    _check_size(g, r)
     _check_realizes(r, _power_rows(g, k - 1), k - 1)
     return _step(r, k, _power_rows(g, k))
+
+
+def _check_size(g, r, name="representation"):
+    """Raise VertexSetMismatchError unless r, called name in the message,
+    has as many vertices as g."""
+    if r.n != g.n:
+        raise VertexSetMismatchError(f"graph has {g.n} vertices, {name} has {r.n}")
 
 
 def _step(current, k, outer):
@@ -80,18 +84,20 @@ def _step(current, k, outer):
     end.  Vertices stretched into the same gap are laid out by the order
     of their original right endpoints, so both endpoint orders survive.
 
-    `_later_masks` over the lefts gives the vertices opening after x
-    closes as one mask, found by bisection, which outer[x] is ANDed with
-    before its bits are visited.  The gaps are laid out from one sort of
-    (anchor, right, x) over the stretched vertices: the slot restarts
-    after each new anchor and steps at each new right, so equal rights in
-    one gap share a slot.
+    The step reads the normalized input as two columns, lefts and rights,
+    built once.  `_later_masks` over the lefts gives the vertices opening
+    after x closes as one mask, found by bisection, which outer[x] is
+    ANDed with before its bits are visited.  The gaps are laid out from
+    one sort of (anchor, right, x) over the stretched vertices: the slot
+    restarts after each new anchor and steps at each new right, so equal
+    rights in one gap share a slot.
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
+    rights = [right for _, right in base.intervals]
     sorted_lefts, right_of = _later_masks(lefts)
     witness = []
-    for x, (_, right_x) in enumerate(base.intervals):
+    for x, right_x in enumerate(rights):
         best, best_left = None, right_x
         later = outer[x] & right_of[bisect_right(sorted_lefts, right_x)]
         while later:
@@ -103,12 +109,11 @@ def _step(current, k, outer):
             later ^= low
         witness.append(best)
 
-    n = base.n
-    scale = n + 1
-    new_right = [scale * base.right(x) for x in range(n)]
+    scale = len(lefts) + 1
+    new_right = [scale * right for right in rights]
     anchor = last = None
     for left, right, x in sorted(
-        (lefts[w], base.right(x), x) for x, w in enumerate(witness) if w is not None
+        (lefts[w], rights[x], x) for x, w in enumerate(witness) if w is not None
     ):
         if left != anchor:
             anchor, last, slot = left, None, scale * left
@@ -116,9 +121,7 @@ def _step(current, k, outer):
             last, slot = right, slot + 1
         new_right[x] = slot
 
-    extended = IntervalRepresentation(
-        (scale * base.left(x), new_right[x]) for x in range(n)
-    )
+    extended = IntervalRepresentation(zip((scale * left for left in lefts), new_right))
     trace = ExtensionTrace(
         k=k, scale=scale, witness=tuple(witness), new_right=tuple(new_right)
     )
@@ -187,10 +190,7 @@ def _chain(g, r, k_max):
     read.  The checks run at the first next(), before any element."""
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
-    if r.n != g.n:
-        raise VertexSetMismatchError(
-            f"graph has {g.n} vertices, representation has {r.n}"
-        )
+    _check_size(g, r)
     _check_realizes(r, g.rows, 1)
     balls = g.rows
     current = r

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from intpow import (
     format_graph,
     graph_power,
     intersection_graph,
+    iterate_powers,
     load_graph,
     load_orders,
     load_representation,
@@ -32,7 +34,7 @@ from intpow import (
     trapezoid_orders,
     widen_balls,
 )
-from intpow import trapezoids
+from intpow import graphs, trapezoids
 from intpow.cli import main
 
 P5_TEXT = "5 4\n1 2\n2 3\n3 4\n4 5\n"
@@ -307,6 +309,45 @@ def test_extend_iterate_widens_each_power_once(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "extend", graph, rep, "5", "--iterate")
     assert code == 0 and stdout.endswith("RESULT: OK\n")
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("shape", ["dense", "path"])
+def test_distance_work_stays_within_its_budget(tmp_path, capsys, monkeypatch, shape):
+    """Ceilings on breadth-first searches: 2n for a library extend (the
+    rows of G^(k-1) and of G^k), 3n for `intpow extend` (its check builds
+    the rows of G^k again), none for a chain.  `_power_rows` looks
+    `bfs_distances` up in intpow.graphs at call time, so wrapping it there
+    counts every search."""
+    n = 60
+    rng = random.Random(71)
+    if shape == "dense":
+        lefts = [rng.randint(0, 4 * n) for _ in range(n)]
+        r = IntervalRepresentation((left, left + rng.randint(0, 2 * n)) for left in lefts)
+    else:
+        r = IntervalRepresentation((2 * v, 2 * v + 2) for v in range(n))
+    g = intersection_graph(r)
+    graph, rep = str(tmp_path / "g.graph"), str(tmp_path / "g.rep")
+    save_graph(g, graph)
+    save_representation(r, rep)
+    calls = []
+    search = graphs.bfs_distances
+
+    def counting(h, source):
+        calls.append(source)
+        return search(h, source)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counting)
+    extend_representation(g, 2, r)
+    assert len(calls) <= 2 * n
+    calls.clear()
+    code, stdout, _ = run(capsys, "extend", graph, rep, "2")
+    assert code == 0 and stdout.endswith("RESULT: OK\n")
+    assert len(calls) <= 3 * n
+    calls.clear()
+    iterate_powers(g, r, 4)
+    code, stdout, _ = run(capsys, "extend", graph, rep, "4", "--iterate")
+    assert code == 0 and stdout.endswith("RESULT: OK\n")
+    assert calls == []
 
 
 def test_extend_iterate_keeps_the_steps_before_a_chain_error(tmp_path, capsys):

@@ -21,6 +21,7 @@ from intpow import (
     graph_power,
     graph_power_oracle,
     intersection_graph,
+    intersection_rows,
     is_proper,
     iterate_powers,
     normalize,
@@ -42,7 +43,9 @@ from testutil import (
     random_proper_representation,
     random_representation,
     random_strict_connected_representation,
+    ranked_representations,
     representations,
+    strict_representations,
 )
 
 P4 = Graph.path(4)
@@ -365,6 +368,47 @@ def test_iterate_matches_the_latest_close_oracle():
             assert intersection_graph(rep) == intersection_graph(oracle)
             assert endpoint_orders(rep) == orders
     assert tied >= 150
+
+
+def _assert_chain_matches_the_latest_close_oracle(r, k_max):
+    """The checks of test_iterate_matches_the_latest_close_oracle on one
+    start: every chain member to G^k_max has the graph and both endpoint
+    orders of the latest-close oracle, which realizes the distances of
+    Floyd-Warshall."""
+    g = intersection_graph(r)
+    dist = floyd_warshall(g)
+    orders = endpoint_orders(r)
+    for k, rep, _ in iterate_powers(g, r, k_max):
+        oracle = latest_close_extension(r, g, k)
+        within_k = {
+            (u, v) for u in range(r.n) for v in range(u + 1, r.n)
+            if dist[u][v] is not None and dist[u][v] <= k
+        }
+        assert intersection_graph_pairs(oracle).edge_set == within_k
+        assert endpoint_orders(oracle) == orders
+        assert intersection_rows(rep) == intersection_rows(oracle)
+        assert endpoint_orders(rep) == orders
+
+
+@pytest.mark.parametrize("n, count", [(3, 15), (4, 105), (5, 945)])
+def test_every_strict_start_matches_the_latest_close_oracle(n, count):
+    """Every strict representation on n vertices, up to relabeling,
+    chained to G^(n-1), where every connected start is complete."""
+    starts = list(strict_representations(n))
+    assert len(starts) == count
+    for r in starts:
+        _assert_chain_matches_the_latest_close_oracle(r, n - 1)
+
+
+@pytest.mark.parametrize("n, count", [(3, 150), (4, 2210)])
+def test_every_ranked_start_matches_the_latest_close_oracle(n, count):
+    """Every representation on n vertices up to rank compression and
+    relabeling, ties and touching intervals included, chained to
+    G^(n-1)."""
+    starts = list(ranked_representations(n))
+    assert len(starts) == count
+    for r in starts:
+        _assert_chain_matches_the_latest_close_oracle(r, n - 1)
 
 
 def test_each_entry_point_checks_its_input_once(monkeypatch):

@@ -34,7 +34,10 @@ from testutil import (
     random_proper_chain,
     random_proper_representation,
     random_representation,
+    ranked_representations,
     representations,
+    strict_proper_representations,
+    strict_representations,
 )
 
 INT64_MAX = 2**63 - 1
@@ -359,6 +362,43 @@ def test_proper_to_unit_rows_match_pair_oracle(rows):
 @given(proper_representations(max_n=10))
 def test_proper_to_unit_matches_pair_oracle_on_proper_inputs(r):
     assert proper_to_unit(r).intervals == proper_to_unit_pairs(r).intervals
+
+
+def _ranked(r):
+    """r's class under rank compression and relabeling: its coordinates
+    ranked densely, its rows sorted."""
+    rank = {c: i for i, c in enumerate(sorted({c for row in r.intervals for c in row}))}
+    return rep(*sorted((rank[left], rank[right]) for left, right in r.intervals))
+
+
+@pytest.mark.parametrize("n, ranked, strict, proper", [
+    (1, 2, 1, 1), (2, 14, 3, 2), (3, 150, 15, 5), (4, 2210, 105, 14),
+])
+def test_exhaustive_generators_list_every_class_once(n, ranked, strict, proper):
+    classes = set(ranked_representations(n))
+    assert len(classes) == ranked
+    strict_starts = list(strict_representations(n))
+    assert len(strict_starts) == strict
+    assert set(strict_starts) == {
+        r for r in classes if len({c for row in r.intervals for c in row}) == 2 * n
+    }
+    proper_starts = list(strict_proper_representations(n))
+    assert len(proper_starts) == proper
+    assert set(proper_starts) == {r for r in strict_starts if is_proper(r)}
+    # Random inputs, ties included, fall into the listed classes.
+    rng = random.Random(n)
+    for _ in range(300):
+        r = rep(*(sorted(rng.sample(range(2 * n), 2)) if rng.random() < 0.8
+                  else [rng.randrange(2 * n)] * 2 for _ in range(n)))
+        assert _ranked(r) in classes
+
+
+def test_proper_to_unit_matches_pair_oracle_on_every_small_strict_proper_input():
+    # Every strict proper representation with 1 <= n <= 8, up to relabeling.
+    starts = [r for n in range(1, 9) for r in strict_proper_representations(n)]
+    assert len(starts) == 2055
+    for r in starts:
+        assert proper_to_unit(r).intervals == proper_to_unit_pairs(r).intervals
 
 
 @pytest.mark.parametrize("n", [50, 100, 200])

@@ -22,6 +22,11 @@ from intpow import (
     format_representation,
     format_trace,
     format_trapezoid,
+    load_graph,
+    load_orders,
+    load_representation,
+    load_trace,
+    load_trapezoid,
     parse_graph,
     parse_orders,
     parse_representation,
@@ -62,6 +67,16 @@ VALID_TEXTS = {
     parse_trapezoid: lambda rng: format_trapezoid(random_strict_trapezoid(rng, max_n=6)),
     parse_orders: orders_text,
 }
+
+LOADERS = {
+    parse_graph: load_graph,
+    parse_representation: load_representation,
+    parse_trace: load_trace,
+    parse_trapezoid: load_trapezoid,
+    parse_orders: load_orders,
+}
+
+BOM = "\ufeff".encode()
 
 
 def reshaped(text, rng):
@@ -159,3 +174,39 @@ def test_content_and_lines_agree_with_splitlines(text, chunk):
     assert end == len(text.rstrip())
     assert count == len(expected)
     assert [line.split() for line in lines] == [line.split() for line in expected]
+
+
+def loaded(load, path):
+    """What load gives for path: the value, or the ParseError's line and
+    message."""
+    try:
+        return True, load(path)
+    except ParseError as error:
+        return False, (error.line, error.message)
+
+
+@pytest.mark.parametrize("parse", VALID_TEXTS, ids=lambda parse: parse.__name__)
+def test_loaders_ignore_a_leading_byte_order_mark(parse, tmp_path):
+    read = 0
+    for seed in range(10):
+        data = VALID_TEXTS[parse](random.Random(seed)).encode()
+        plain, marked = tmp_path / f"plain{seed}", tmp_path / f"marked{seed}"
+        plain.write_bytes(data)
+        marked.write_bytes(BOM + data)
+        expected = loaded(LOADERS[parse], plain)
+        assert loaded(LOADERS[parse], marked) == expected
+        read += expected[0]
+    assert read > 0
+
+
+@pytest.mark.parametrize("data, line, byte", [
+    (b"2\n1 0 2\n2 \xe9 3\n", 3, 0xe9),
+    (b"\xff2\n1 0 2\n2 1 3\n", 1, 0xff),
+])
+def test_invalid_byte_after_a_byte_order_mark_is_reported_as_without_it(data, line, byte, tmp_path):
+    for name, contents in (("plain.rep", data), ("marked.rep", BOM + data)):
+        path = tmp_path / name
+        path.write_bytes(contents)
+        with pytest.raises(ParseError) as info:
+            load_representation(path)
+        assert (info.value.line, info.value.message) == (line, f"byte 0x{byte:02x} is not valid UTF-8")

@@ -6,6 +6,7 @@ property tests.
 """
 
 import contextlib
+import itertools
 
 import pytest
 from hypothesis import strategies as st
@@ -156,6 +157,47 @@ def random_strict_trapezoid(rng, max_n=8):
     return TrapezoidRepresentation(
         [first[v] + second[v] for v in range(n)]
     )
+
+
+def strict_representations(n):
+    """Every strict interval representation on n vertices up to relabeling:
+    one per perfect matching of the 2n event positions 0..2n-1, each pair
+    an interval, rows by left endpoint.  There are (2n - 1)!! of them."""
+
+    def matchings(free):
+        if not free:
+            yield ()
+            return
+        first, rest = free[0], free[1:]
+        for i, partner in enumerate(rest):
+            for tail in matchings(rest[:i] + rest[i + 1:]):
+                yield ((first, partner), *tail)
+
+    return map(IntervalRepresentation, matchings(tuple(range(2 * n))))
+
+
+def ranked_representations(n):
+    """Every interval representation on n vertices up to rank compression
+    and relabeling: rows sorted, and the coordinates used are exactly
+    0..d-1 for some d <= 2n, as ranking them densely leaves them.  There
+    are 2, 14, 150 and 2,210 classes for n = 1..4; ties of every kind
+    occur, a left on a left, a right on a right, and a left on a right."""
+    intervals = [(left, right) for left in range(2 * n) for right in range(left, 2 * n)]
+    for rows in itertools.combinations_with_replacement(intervals, n):
+        used = {c for row in rows for c in row}
+        if len(used) == max(used, default=-1) + 1:
+            yield IntervalRepresentation(rows)
+
+
+def strict_proper_representations(n):
+    """Every strict proper representation on n vertices up to relabeling:
+    one per ballot sequence of n opens and n closes at positions 0..2n-1,
+    the i-th open paired with the i-th close.  There are Catalan(n) of
+    them."""
+    for opens in itertools.combinations(range(2 * n), n):
+        closes = sorted(set(range(2 * n)) - set(opens))
+        if all(left < right for left, right in zip(opens, closes)):
+            yield IntervalRepresentation(zip(opens, closes))
 
 
 def random_block_graph(rng, n, edge_prob, blocks=1, isolated=0):
