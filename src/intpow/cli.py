@@ -24,6 +24,7 @@ from .graphs import (
     graph_power_oracle,
     load_graph,
     save_graph,
+    widen_balls,
 )
 from .intervals import (
     endpoint_orders,
@@ -67,15 +68,16 @@ def cmd_extend(args):
     g = load_graph(args.graph)
     r = load_representation(args.rep)
     base_orders = endpoint_orders(r)
-    # Each step comes with the rows of G^k it is checked against: the
-    # balls the chain widened for it with --iterate, n more BFS runs
-    # without.
+    # Each step is checked against rows of G^k built apart from it: with
+    # --iterate, balls widened from g.rows one hop per member, as the
+    # chain itself builds none; without, n more BFS runs.
     if args.iterate:
-        steps = _chain(g, r, args.k)
+        steps, expected = _chain(g, r, args.k), _widened_balls(g)
     else:
-        steps = [(args.k, *extend_representation(g, args.k, r), _power_rows(g, args.k))]
+        steps = [(args.k, *extend_representation(g, args.k, r))]
+        expected = [_power_rows(g, args.k)]
     all_ok = True
-    for k, rep, trace, balls in steps:
+    for (k, rep, trace), balls in zip(steps, expected):
         # A step's files are written before the lines that report them.
         if args.out:
             save_representation(rep, _step_path(args.out, k, args.iterate))
@@ -91,6 +93,15 @@ def cmd_extend(args):
         print(f"ORDER_R: {'PRESERVED' if right_ok else 'VIOLATED'}")
     print(f"RESULT: {'OK' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
+
+
+def _widened_balls(g):
+    """The rows of G^2, G^3, ..., each one `widen_balls` from the last,
+    starting from g.rows."""
+    balls = g.rows
+    while True:
+        balls = widen_balls(g, balls)
+        yield balls
 
 
 def _step_path(path, k, iterate):

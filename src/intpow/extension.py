@@ -1,8 +1,10 @@
 """Order-preserving extension of an interval representation of one graph
 power to the next."""
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from functools import partial
+from itertools import accumulate
 
 from . import _records
 from .errors import (
@@ -11,7 +13,7 @@ from .errors import (
     RepresentationMismatchError,
     VertexSetMismatchError,
 )
-from .graphs import _power_rows, widen_balls
+from .graphs import _power_rows
 from .intervals import IntervalRepresentation, _later_masks, intersection_rows, normalize
 
 __all__ = [
@@ -60,7 +62,7 @@ def extend_representation(g, k, r):
         raise InvalidKError(f"extension requires k >= 2, got {k}")
     _check_size(g, r)
     _check_realizes(r, _power_rows(g, k - 1), k - 1)
-    return _step(r, k, _power_rows(g, k))
+    return _step(r, k, partial(_ball_witnesses, _power_rows(g, k)))
 
 
 def _check_size(g, r, name="representation"):
@@ -70,44 +72,27 @@ def _check_size(g, r, name="representation"):
         raise VertexSetMismatchError(f"graph has {g.n} vertices, {name} has {r.n}")
 
 
-def _step(current, k, outer):
+def _step(current, k, witnesses):
     """One extension step: from a representation that realizes G^(k-1),
-    one of the rows outer of G^k, and its trace.
+    one of G^k, and its trace.
 
-    x's witness is the vertex of outer[x] that opens after x closes with
-    the largest left endpoint, the smallest id among ties.  These are the
-    vertices of the sphere, exactly k away, that open right of x: a vertex
-    within k - 1 meets x, so it opens at or before x closes, and a sphere
-    vertex opening right of x is disjoint from x, so it opens after x
-    closes.  The normalized input is scaled by n + 1, and the right end of
-    every x with a witness moves into the gap after the witness's left
-    end.  Vertices stretched into the same gap are laid out by the order
-    of their original right endpoints, so both endpoint orders survive.
-
-    The step reads the normalized input as two columns, lefts and rights,
-    built once.  `_later_masks` over the lefts gives the vertices opening
-    after x closes as one mask, found by bisection, which outer[x] is
-    ANDed with before its bits are visited.  The gaps are laid out from
-    one sort of (anchor, right, x) over the stretched vertices: the slot
-    restarts after each new anchor and steps at each new right, so equal
-    rights in one gap share a slot.
+    witnesses(lefts, rights) reads the normalized input as two columns,
+    built once, and returns x's witness per vertex: the vertex exactly k
+    away that opens after x closes with the largest left endpoint, the
+    smallest id among ties, or None.  `_ball_witnesses` takes it from the
+    rows of G^k, `_span_witnesses` from one candidate per vertex.  The
+    normalized input is scaled by n + 1, and the right end of every x with
+    a witness moves into the gap after the witness's left end.  Vertices
+    stretched into the same gap are laid out by the order of their
+    original right endpoints, so both endpoint orders survive: one sort of
+    (anchor, right, x) over the stretched vertices, the slot restarting
+    after each new anchor and stepping at each new right, so equal rights
+    in one gap share a slot.  Beyond the witnesses, O(n log n).
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
     rights = [right for _, right in base.intervals]
-    sorted_lefts, right_of = _later_masks(lefts)
-    witness = []
-    for x, right_x in enumerate(rights):
-        best, best_left = None, right_x
-        later = outer[x] & right_of[bisect_right(sorted_lefts, right_x)]
-        while later:
-            low = later & -later
-            y = low.bit_length() - 1
-            # Ids ascend, so a strict test keeps the smallest among ties.
-            if lefts[y] > best_left:
-                best, best_left = y, lefts[y]
-            later ^= low
-        witness.append(best)
+    witness = witnesses(lefts, rights)
 
     scale = len(lefts) + 1
     new_right = [scale * right for right in rights]
@@ -126,6 +111,89 @@ def _step(current, k, outer):
         k=k, scale=scale, witness=tuple(witness), new_right=tuple(new_right)
     )
     return extended, trace
+
+
+def _ball_witnesses(outer, lefts, rights):
+    """Witnesses from the rows outer of G^k: x's is the vertex of outer[x]
+    that opens after x closes with the largest left endpoint.  These are
+    the vertices of the sphere, exactly k away, that open right of x: a
+    vertex within k - 1 meets x, so it opens at or before x closes, and a
+    sphere vertex opening right of x is disjoint from x, so it opens after
+    x closes.  `_later_masks` over the lefts gives the vertices opening
+    after x closes as one mask, found by bisection, which outer[x] is
+    ANDed with before its bits are visited."""
+    sorted_lefts, right_of = _later_masks(lefts)
+    witness = []
+    for x, right_x in enumerate(rights):
+        best, best_left = None, right_x
+        later = outer[x] & right_of[bisect_right(sorted_lefts, right_x)]
+        while later:
+            low = later & -later
+            y = low.bit_length() - 1
+            # Ids ascend, so a strict test keeps the smallest among ties.
+            if lefts[y] > best_left:
+                best, best_left = y, lefts[y]
+            later ^= low
+        witness.append(best)
+    return witness
+
+
+def _span_witnesses(candidates, lefts, rights):
+    """Witnesses from one candidate per vertex, as `_span_tables` gives
+    them: x's candidate is its witness when it opens after x closes, and
+    x has none otherwise."""
+    return [c if lefts[c] > right else None for c, right in zip(candidates, rights)]
+
+
+def _span_tables(r):
+    """(hop, cand): two vertex tables of a representation r of an interval
+    graph G, in O(n log n).
+
+    The intervals within distance j of x cover one span [L_j(x), R_j(x)]
+    of r's line, and those within j + 1 are the ones that meet it.  So
+    R_j = f(R_(j-1)), with R_0 the right end of x and f(c) the largest
+    right end among the intervals that open at or before c.  hop[z] is a
+    vertex whose right end is f(right end of z), so R_j(x) is the right
+    end of hop applied j times to x.  cand[z] is the smallest id among the
+    vertices whose left end is the largest one at or before z's right end.
+
+    With z the j-th hop of x, every vertex of B_(j+1)(x) opens at or before
+    R_j(x), so cand[z] is the one of B_(j+1)(x) with the largest left end,
+    the smallest id among ties.  The chain member realizing G^j keeps r's
+    endpoint orders, ties included.  So there, if cand[z] opens after x
+    closes, it is exactly j + 1 away and x's witness for step j + 1; if it
+    does not, no vertex of B_(j+1)(x) does, and x has no witness.
+    """
+    lefts = [left for left, _ in r.intervals]
+    rights = [right for _, right in r.intervals]
+    order = sorted(range(len(lefts)), key=lefts.__getitem__)
+    sorted_lefts = [lefts[v] for v in order]
+    # reach[i] closes last among order[:i + 1].  The sort is stable, so
+    # the reversed pairs leave each left end with its smallest id.
+    reach = list(accumulate(order, partial(max, key=rights.__getitem__)))
+    first = dict(zip(reversed(sorted_lefts), reversed(order)))
+    last = [bisect_right(sorted_lefts, right) - 1 for right in rights]
+    return [reach[i] for i in last], [first[sorted_lefts[i]] for i in last]
+
+
+def _realizes(g, r):
+    """Whether the intervals of r meet exactly where g has edges, with no
+    rows: every edge of g meets in r, and each x meets exactly deg(x) + 1
+    intervals, itself included.  Those are the intervals that open at or
+    before x closes, less the ones that close before x opens, two
+    bisections into the sorted endpoints.  O(n log n + m)."""
+    lefts = [left for left, _ in r.intervals]
+    rights = [right for _, right in r.intervals]
+    sorted_lefts, sorted_rights = sorted(lefts), sorted(rights)
+    for x, nbrs in enumerate(g._adjacency):
+        left_x, right_x = lefts[x], rights[x]
+        meets = bisect_right(sorted_lefts, right_x) - bisect_left(sorted_rights, left_x)
+        if meets != len(nbrs) + 1:
+            return False
+        for y in nbrs:
+            if lefts[y] > right_x or rights[y] < left_x:
+                return False
+    return True
 
 
 def _first_difference(expected, actual):
@@ -173,31 +241,39 @@ def iterate_powers(g, r, k_max):
     Returns a list of (k, representation, trace) for k = 2..k_max; each
     step feeds the previous output back in, so every chain member keeps
     the endpoint orders of r.  The result, errors included, is that of
-    one extend_representation call per k, but no BFS runs.  r is checked
-    once, against B_1 = g.rows: by the theorem each step turns a
+    one extend_representation call per k, but no BFS runs and no n-bit
+    row is built while r realizes g.  r is checked once, against g, by
+    `_realizes` in O(n log n + m): by the theorem each step turns a
     representation of G^(k-1) into one of G^k, so no member is checked
-    again.  One list of distance balls is carried along and widened by
-    one hop per k, and step k reads its witnesses from B_k alone, as
-    extend_representation does.  That costs n + 2m big-int ORs plus
-    O(n log n) per step, k_max * (n + 2m) ORs for the chain.
+    again.  Each step then takes its witnesses from `_span_tables` in O(n)
+    and lays out the gaps in O(n log n).
     """
-    return [(k, rep, trace) for k, rep, trace, _ in _chain(g, r, k_max)]
+    return list(_chain(g, r, k_max))
 
 
 def _chain(g, r, k_max):
     """The body of iterate_powers as a stream: yields (k, representation,
-    trace, balls) per step, balls being the rows of G^k that the step
-    read.  The checks run at the first next(), before any element."""
+    trace) per step.  The checks run at the first next(), before any
+    element; only a failed `_realizes` builds rows, through
+    `_check_realizes`, to name the first differing pair.
+
+    far[x] is a vertex whose right end is R_(k-1)(x), the right end of the
+    span of the intervals within k - 1 of x in r, one `hop` per step, and
+    cand[far[x]] is x's candidate witness for step k: two table reads per
+    vertex, with no bisection and no ball.
+    """
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
     _check_size(g, r)
-    _check_realizes(r, g.rows, 1)
-    balls = g.rows
+    if not _realizes(g, r):
+        _check_realizes(r, g.rows, 1)
+    hop, cand = _span_tables(r)
+    far = range(r.n)
     current = r
     for k in range(2, k_max + 1):
-        balls = widen_balls(g, balls)
-        current, trace = _step(current, k, balls)
-        yield k, current, trace, balls
+        far = list(map(hop.__getitem__, far))
+        current, trace = _step(current, k, partial(_span_witnesses, map(cand.__getitem__, far)))
+        yield k, current, trace
 
 
 def format_trace(trace):

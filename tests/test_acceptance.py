@@ -241,3 +241,24 @@ def test_acceptance_11_trapezoid_search_n10_dense_targets():
             else:
                 assert first is None
             assert elapsed < 1.5, f"took {elapsed:.2f}s"
+
+
+def test_acceptance_12_path_chain_holds_no_rows():
+    # The chain builds no n-bit rows, so a path with n = 100000 goes to
+    # G^3 in near-linear time and memory; its n-bit balls alone would take
+    # about 0.6 GB, since ball x is an int as wide as x + 3.
+    with criterion(12, "iterated extension of a path with n=100000 stays fast"):
+        n = 100000
+        g = Graph.path(n)
+        r = IntervalRepresentation([(2 * v, 2 * v + 2) for v in range(n)])
+        started = time.perf_counter()
+        chain = iterate_powers(g, r, 3)
+        elapsed = time.perf_counter() - started
+        assert [k for k, _, _ in chain] == [2, 3]
+        assert all(endpoint_orders(rep) == endpoint_orders(r) for _, rep, _ in chain)
+        # Both orders are strict and ascend with v, so v meets exactly
+        # v - 3..v + 3 in G^3 when it reaches v + 3 and stops before v + 4.
+        out = chain[-1][1].intervals
+        assert all(out[v + 3][0] <= out[v][1] for v in range(n - 3))
+        assert all(out[v][1] < out[v + 4][0] for v in range(n - 4))
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"

@@ -249,8 +249,8 @@ def test_extend_rejects_non_realizing_representation(tmp_path, capsys):
 
 def test_extend_recheck_reports_mismatch(tmp_path, capsys, monkeypatch):
     # A step that hands back its input realizes P5 but none of its
-    # powers, so the re-check flags every step, single and chained: the
-    # rows each step read catch a bad step.
+    # powers, so the re-check flags every step, single and chained: rows
+    # of G^k built apart from the step catch a bad step.
     def unchanged(current, k, outer):
         rights = tuple(right for _, right in current.intervals)
         return current, ExtensionTrace(
@@ -294,15 +294,15 @@ def test_extend_iterate_reports_only_the_steps_it_wrote(tmp_path, capsys):
 
 
 def test_extend_iterate_widens_each_power_once(tmp_path, capsys, monkeypatch):
-    # The re-check compares each member with the balls its step read, so
-    # a chain to G^5 widens four times in all.
+    # The chain widens no balls; the widens are the re-check's own, one
+    # per member from g.rows, so a chain to G^5 widens four times in all.
     calls = []
 
     def counting(g, balls):
         calls.append(g)
         return widen_balls(g, balls)
 
-    monkeypatch.setattr("intpow.extension.widen_balls", counting)
+    monkeypatch.setattr("intpow.extension.widen_balls", counting, raising=False)
     monkeypatch.setattr("intpow.cli.widen_balls", counting, raising=False)
     graph = write(tmp_path / "p5.graph", P5_TEXT)
     rep = write(tmp_path / "p5.rep", P5_REP_TEXT)

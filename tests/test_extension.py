@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from intpow import (
 from intpow import extension
 from intpow.extension import _first_difference
 from testutil import (
+    assert_chain_matches_the_latest_close_oracle,
     first_difference_graphs,
     floyd_warshall,
     gap_layout_by_anchor,
@@ -370,26 +372,6 @@ def test_iterate_matches_the_latest_close_oracle():
     assert tied >= 150
 
 
-def _assert_chain_matches_the_latest_close_oracle(r, k_max):
-    """The checks of test_iterate_matches_the_latest_close_oracle on one
-    start: every chain member to G^k_max has the graph and both endpoint
-    orders of the latest-close oracle, which realizes the distances of
-    Floyd-Warshall."""
-    g = intersection_graph(r)
-    dist = floyd_warshall(g)
-    orders = endpoint_orders(r)
-    for k, rep, _ in iterate_powers(g, r, k_max):
-        oracle = latest_close_extension(r, g, k)
-        within_k = {
-            (u, v) for u in range(r.n) for v in range(u + 1, r.n)
-            if dist[u][v] is not None and dist[u][v] <= k
-        }
-        assert intersection_graph_pairs(oracle).edge_set == within_k
-        assert endpoint_orders(oracle) == orders
-        assert intersection_rows(rep) == intersection_rows(oracle)
-        assert endpoint_orders(rep) == orders
-
-
 @pytest.mark.parametrize("n, count", [(3, 15), (4, 105), (5, 945)])
 def test_every_strict_start_matches_the_latest_close_oracle(n, count):
     """Every strict representation on n vertices, up to relabeling,
@@ -397,7 +379,7 @@ def test_every_strict_start_matches_the_latest_close_oracle(n, count):
     starts = list(strict_representations(n))
     assert len(starts) == count
     for r in starts:
-        _assert_chain_matches_the_latest_close_oracle(r, n - 1)
+        assert_chain_matches_the_latest_close_oracle(r, n - 1)
 
 
 @pytest.mark.parametrize("n, count", [(3, 150), (4, 2210)])
@@ -408,29 +390,106 @@ def test_every_ranked_start_matches_the_latest_close_oracle(n, count):
     starts = list(ranked_representations(n))
     assert len(starts) == count
     for r in starts:
-        _assert_chain_matches_the_latest_close_oracle(r, n - 1)
+        assert_chain_matches_the_latest_close_oracle(r, n - 1)
 
 
 def test_each_entry_point_checks_its_input_once(monkeypatch):
-    """iterate_powers checks r against g once, whatever k_max, and
-    extend_representation checks its input once; no chain member is
-    checked again."""
+    """iterate_powers checks r against g once, whatever k_max, with the
+    row-free check, and extend_representation checks its input once
+    against rows; no chain member is checked again."""
     calls = []
-    check = extension._check_realizes
+    check, row_free = extension._check_realizes, extension._realizes
 
     def counted(r, expected, power):
         calls.append(power)
         return check(r, expected, power)
 
+    def counted_row_free(g, r):
+        calls.append("row-free")
+        return row_free(g, r)
+
     monkeypatch.setattr(extension, "_check_realizes", counted)
+    monkeypatch.setattr(extension, "_realizes", counted_row_free)
     for k_max in range(2, 7):
         calls.clear()
         chain = iterate_powers(P5, P5_REP, k_max)
-        assert calls == [1]
+        assert calls == ["row-free"]
         for k, rep, _ in chain[:-1]:
             calls.clear()
             extend_representation(P5, k + 1, rep)
             assert calls == [k]
+
+
+def test_iterate_powers_builds_no_rows(monkeypatch):
+    """On an input that realizes g, the chain returns the chain of one
+    extend_representation call per k while every route to n-bit rows
+    raises where extension looks it up: no ball is widened, no rows of
+    an intersection graph or a power are built, no BFS runs.  Each g is
+    built from its edges, so a read of g.rows would widen."""
+    rng = random.Random(59)
+    starts = [IntervalRepresentation([]), P5_REP, random_proper_chain(rng, 100)]
+    starts += [random_representation(rng, max_n=20, coord_max=rng.choice([8, 40])) for _ in range(40)]
+    starts += [random_strict_connected_representation(rng, max_n=30) for _ in range(20)]
+    cases = [(r, 2 + i % 4) for i, r in enumerate(starts)]
+    expected = [iterate_powers_chained(intersection_graph(r), r, k_max) for r, k_max in cases]
+
+    def refuse(*args):
+        raise AssertionError("the chain built rows")
+
+    for target in ("intpow.extension.intersection_rows", "intpow.extension._power_rows",
+                   "intpow.extension._later_masks", "intpow.graphs.widen_balls",
+                   "intpow.graphs.bfs_distances"):
+        monkeypatch.setattr(target, refuse)
+    for (r, k_max), chain in zip(cases, expected):
+        g = Graph(r.n, intersection_graph_pairs(r).edge_set)
+        assert iterate_powers(g, r, k_max) == chain
+
+
+def _row_free_cases(rng):
+    """(g, r) pairs for the row-free realization check: each start with
+    its own intersection graph, with one edge added, with one removed, with
+    two edges swapped so every degree stays, and with a random graph.
+    Starts: n = 0, isolated vertices, twins, touching intervals and
+    random representations, ties and disconnected graphs included."""
+    starts = [
+        IntervalRepresentation([]),
+        IntervalRepresentation([(0, 0)]),
+        IntervalRepresentation([(0, 1), (5, 6), (10, 10)]),
+        IntervalRepresentation([(0, 3), (0, 3), (2, 5), (2, 5)]),
+        IntervalRepresentation([(0, 2), (2, 4), (4, 4), (4, 6), (6, 6)]),
+        P4_REP,
+    ]
+    starts += [random_representation(rng, max_n=12, coord_max=rng.choice([4, 10, 30]))
+               for _ in range(300)]
+    cases = [(Graph(4, [(0, 2), (1, 2), (1, 3)]), P4_REP)]  # P4's degrees, other edges
+    for r in starts:
+        edges = set(intersection_graph_pairs(r).edge_set)
+        pairs = list(itertools.combinations(range(r.n), 2))
+        variants = [edges, {pair for pair in pairs if rng.random() < 0.4}]
+        if pairs:
+            variants.append(edges | {rng.choice(pairs)})
+        if edges:
+            variants.append(edges - {rng.choice(sorted(edges))})
+        if len(edges) >= 2:
+            (a, b), (c, d) = rng.sample(sorted(edges), 2)
+            swapped = {tuple(sorted(pair)) for pair in ((a, d), (c, b))}
+            if len({a, b, c, d}) == 4 and not swapped & edges:
+                variants.append(edges - {(a, b), (c, d)} | swapped)
+        cases += [(Graph(r.n, variant), r) for variant in variants]
+    return cases
+
+
+def test_row_free_realization_check_matches_the_rows():
+    """extension._realizes(g, r) holds exactly when intersection_rows(r)
+    equals g.rows, and when the pair oracle's graph of r is g."""
+    cases = _row_free_cases(random.Random(61))
+    verdicts = []
+    for g, r in cases:
+        expected = intersection_rows(r) == list(g.rows)
+        assert (intersection_graph_pairs(r) == g) == expected
+        assert extension._realizes(g, r) == expected
+        verdicts.append(expected)
+    assert 300 < verdicts.count(True) < len(verdicts) - 600
 
 
 def test_iterate_errors_match_chained_extensions():

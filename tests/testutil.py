@@ -21,8 +21,11 @@ from intpow import (
     VertexSetMismatchError,
     WeakOrder,
     connected_components,
+    endpoint_orders,
     extend_representation,
     intersection_graph,
+    intersection_rows,
+    iterate_powers,
     trapezoid_intersection_graph,
 )
 from intpow import _records
@@ -263,10 +266,12 @@ def first_difference_graphs(expected, actual):
 
 def iterate_powers_chained(g, r, k_max):
     """Chain oracle for iterate_powers: one extend_representation call per
-    k, each building its rows of G^(k-1) and G^k from BFS distances where
-    iterate_powers widens balls.  Both run the same witness step, so a
-    comparison checks the two ball sources; the witness rule itself is
-    checked against Floyd-Warshall distances by
+    k, each checking its input against rows of G^(k-1) and taking its
+    witnesses from rows of G^k, both packed from BFS distances.
+    iterate_powers checks r without rows and takes its witnesses from
+    hops along the spans of r, so the two are independent witness routes
+    that share only the gap layout; the witness rule itself is checked
+    against Floyd-Warshall distances by
     test_witness_is_the_rightmost_then_smallest_id."""
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
@@ -313,6 +318,27 @@ def latest_close_extension(r, g, k):
         (i + sum(before <= i for before in opened_before), opened_before[j] + j)
         for i, j in zip(opens, closes)
     )
+
+
+def assert_chain_matches_the_latest_close_oracle(r, k_max):
+    """The checks of
+    test_extension.test_iterate_matches_the_latest_close_oracle on one
+    start: every chain member to G^k_max has the graph and both endpoint
+    orders of the latest-close oracle, which realizes the distances of
+    Floyd-Warshall."""
+    g = intersection_graph(r)
+    dist = floyd_warshall(g)
+    orders = endpoint_orders(r)
+    for k, rep, _ in iterate_powers(g, r, k_max):
+        oracle = latest_close_extension(r, g, k)
+        within_k = {
+            (u, v) for u in range(r.n) for v in range(u + 1, r.n)
+            if dist[u][v] is not None and dist[u][v] <= k
+        }
+        assert intersection_graph_pairs(oracle).edge_set == within_k
+        assert endpoint_orders(oracle) == orders
+        assert intersection_rows(rep) == intersection_rows(oracle)
+        assert endpoint_orders(rep) == orders
 
 
 def gap_layout_by_anchor(base, witness, scale):
