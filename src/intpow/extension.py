@@ -87,7 +87,9 @@ def _step(current, k, witnesses):
     original right endpoints, so both endpoint orders survive: one sort of
     (anchor, right, x) over the stretched vertices, the slot restarting
     after each new anchor and stepping at each new right, so equal rights
-    in one gap share a slot.  Beyond the witnesses, O(n log n).
+    in one gap share a slot.  Every output coordinate lies between scale
+    times the least left and the largest new right, so only those two are
+    checked against the 64-bit range.  Beyond the witnesses, O(n log n).
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
@@ -106,7 +108,10 @@ def _step(current, k, witnesses):
             last, slot = right, slot + 1
         new_right[x] = slot
 
-    extended = IntervalRepresentation(zip((scale * left for left in lefts), new_right))
+    extended = IntervalRepresentation._spanning(
+        zip((scale * left for left in lefts), new_right),
+        scale * min(lefts, default=0), max(new_right, default=0),
+    )
     trace = ExtensionTrace(
         k=k, scale=scale, witness=tuple(witness), new_right=tuple(new_right)
     )
@@ -115,26 +120,38 @@ def _step(current, k, witnesses):
 
 def _ball_witnesses(outer, lefts, rights):
     """Witnesses from the rows outer of G^k: x's is the vertex of outer[x]
-    that opens after x closes with the largest left endpoint.  These are
+    that opens after x closes with the largest left endpoint, the smallest
+    id among ties, or None if no vertex of outer[x] opens there.  These are
     the vertices of the sphere, exactly k away, that open right of x: a
     vertex within k - 1 meets x, so it opens at or before x closes, and a
     sphere vertex opening right of x is disjoint from x, so it opens after
-    x closes.  `_later_masks` over the lefts gives the vertices opening
-    after x closes as one mask, found by bisection, which outer[x] is
-    ANDed with before its bits are visited."""
-    sorted_lefts, right_of = _later_masks(lefts)
+    x closes.
+
+    `_later_masks` over the lefts gives masks[i], the vertices past the i
+    smallest lefts, and later, the vertices of outer[x] that open after x
+    closes, is outer[x] ANDed with one of them.  The largest i with
+    later & masks[i] nonzero is found by bisection: no vertex of later opens
+    past sorted_lefts[i], so that is the witness's left end.  later ANDed
+    with the mask at the start of that left's tie run holds the vertices of
+    later that open there, and its lowest bit is the smallest id.  O(log n)
+    n-bit ANDs per vertex."""
+    sorted_lefts, masks = _later_masks(lefts)
     witness = []
     for x, right_x in enumerate(rights):
-        best, best_left = None, right_x
-        later = outer[x] & right_of[bisect_right(sorted_lefts, right_x)]
-        while later:
-            low = later & -later
-            y = low.bit_length() - 1
-            # Ids ascend, so a strict test keeps the smallest among ties.
-            if lefts[y] > best_left:
-                best, best_left = y, lefts[y]
-            later ^= low
-        witness.append(best)
+        low = bisect_right(sorted_lefts, right_x)
+        later = outer[x] & masks[low]
+        if not later:
+            witness.append(None)
+            continue
+        high = len(lefts)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if later & masks[mid]:
+                low = mid
+            else:
+                high = mid
+        later &= masks[bisect_left(sorted_lefts, sorted_lefts[low])]
+        witness.append((later & -later).bit_length() - 1)
     return witness
 
 

@@ -31,8 +31,10 @@ from intpow import (
 )
 from intpow import extension
 from intpow.extension import _first_difference
+from intpow.graphs import _power_rows
 from testutil import (
     assert_chain_matches_the_latest_close_oracle,
+    ball_witnesses_walk,
     first_difference_graphs,
     floyd_warshall,
     gap_layout_by_anchor,
@@ -40,6 +42,7 @@ from testutil import (
     iterate_powers_chained,
     latest_close_extension,
     random_connected_representation,
+    random_dense_representation,
     random_graph,
     random_proper_chain,
     random_proper_representation,
@@ -236,6 +239,38 @@ def test_witness_is_the_rightmost_then_smallest_id():
             assert trace.witness == _rightmost_witnesses(dist, k, inputs[k - 2])
 
 
+def test_ball_witnesses_match_the_bit_walk():
+    """_ball_witnesses, which bisects over endpoint masks, against the walk
+    over every bit of outer[x]: n = 0 and 1, raw columns with tied lefts
+    and lefts on rights (touching intervals) under random masks, rows of
+    G^2 and G^3 with normalized columns, and the extend-dense generator at
+    n = 150.  Both empty and non-empty later sets must occur."""
+    rng = random.Random(61)
+    cases = [([], [], []), ([1], [0], [0]), ([1], [0], [3])]
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        lefts = [rng.randint(0, 6) for _ in range(n)]
+        rights = [left + rng.randint(0, 3) for left in lefts]
+        cases.append(([rng.getrandbits(n) | 1 << x for x in range(n)], lefts, rights))
+    for r in [random_representation(rng, max_n=16, coord_max=10) for _ in range(100)] + [
+        random_dense_representation(random.Random(seed), 150) for seed in range(3)
+    ]:
+        base = normalize(r)
+        lefts = [left for left, _ in base.intervals]
+        rights = [right for _, right in base.intervals]
+        for k in (2, 3):
+            cases.append((_power_rows(intersection_graph(r), k), lefts, rights))
+    ties = touching = found = missing = 0
+    for outer, lefts, rights in cases:
+        expected = ball_witnesses_walk(outer, lefts, rights)
+        assert extension._ball_witnesses(outer, lefts, rights) == expected
+        ties += len(set(lefts)) < len(lefts)
+        touching += bool(set(lefts) & set(rights))
+        found += sum(w is not None for w in expected)
+        missing += expected.count(None)
+    assert ties > 100 and touching > 100 and found > 1000 and missing > 1000
+
+
 def _per_anchor_step(dist, k, previous):
     """The output of one extension step to G^k from previous, with
     witnesses from Floyd-Warshall distances and the gap layout of
@@ -315,6 +350,22 @@ def test_chain_overflow_names_the_vertex_one_based():
     assert [k for k, _, _ in iterate_powers(g, r, 2)] == [2]
     with pytest.raises(CoordinateOverflowError, match="^vertex 1: interval"):
         iterate_powers(g, r, 3)
+
+
+def test_extension_output_reaches_the_64_bit_bounds_but_not_past_them():
+    # One vertex, scaled by n + 1 = 2 and with no witness: the output is
+    # twice the input, which reaches -2^63 and 2^63 - 2 but not 2^63 or
+    # -2^63 - 2.
+    g = Graph(1)
+    for row, fits in [((0, 2**62 - 1), True), ((0, 2**62), False),
+                      ((-(2**62), 0), True), ((-(2**62) - 1, 0), False)]:
+        r = IntervalRepresentation([row])
+        for extend in (lambda: extend_representation(g, 2, r)[0], lambda: iterate_powers(g, r, 2)[0][1]):
+            if fits:
+                assert extend() == IntervalRepresentation([(2 * row[0], 2 * row[1])])
+            else:
+                with pytest.raises(CoordinateOverflowError, match="^vertex 1: interval"):
+                    extend()
 
 
 def test_iterate_matches_chained_extensions():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -243,6 +244,70 @@ def test_both_bfs_paths_match_floyd_warshall():
         for k in (1, 2, 3, 4):
             assert graph_power(g, k) == graph_power_oracle(g, k)
     assert paths_hit == {False, True}
+
+
+def _star_over(rng, n, edge_prob):
+    """Vertex 0 joined to every other vertex, over a random graph on the
+    rest: from 0 the first level reaches every vertex."""
+    edges = [(0, v) for v in range(1, n)]
+    edges += [(u, v) for u, v in itertools.combinations(range(1, n), 2) if rng.random() < edge_prob]
+    return Graph(n, edges)
+
+
+def _fan_out(frontier, late):
+    """Source 0 joined to a clique on 1..frontier, so that the first
+    frontier from 0 holds exactly `frontier` vertices.  A frontier this
+    wide is listed from its highest id down and its rows ORed in chunks of
+    32, and the narrow ones after it are walked bit by bit.  With
+    late, vertex frontier + 1 hangs off vertex 1 alone, in the last chunk,
+    and a third level follows, so every chunk must be ORed; without it,
+    the two vertices past the clique hang off vertex frontier, and the
+    first chunk covers every unreached vertex."""
+    edges = [(0, v) for v in range(1, frontier + 1)]
+    edges += itertools.combinations(range(1, frontier + 1), 2)
+    past, other = frontier + 1, frontier + 2
+    if late:
+        edges += [(1, past), (frontier, other), (past, frontier + 3), (other, frontier + 3)]
+        return Graph(frontier + 4, edges)
+    return Graph(frontier + 3, edges + [(frontier, past), (frontier, other)])
+
+
+DENSE_BFS_CASES = {
+    "star": (lambda: _star_over(random.Random(3), 40, 0.5), 39),
+    "complete-17": (lambda: Graph.complete(17), 16),
+    "complete-40": (lambda: Graph.complete(40), 39),
+    **{
+        f"frontier-{frontier}-{'late' if late else 'early'}": (
+            lambda frontier=frontier, late=late: _fan_out(frontier, late), frontier
+        )
+        for frontier in (31, 32, 33, 64, 65) for late in (True, False)
+    },
+    # Two dense blocks and six isolated vertices: no search reaches every
+    # vertex, so the early stop never fires.
+    "blocks-and-isolated": (lambda: random_block_graph(random.Random(5), 60, 0.9, 2, 6), None),
+}
+
+
+@pytest.mark.parametrize("build, first", DENSE_BFS_CASES.values(), ids=DENSE_BFS_CASES)
+def test_dense_bfs_kernel_matches_floyd_warshall(build, first):
+    # Every source of graphs built for the bitset branch's chunked ORs and
+    # early stops; first is the size of the first frontier from vertex 0.
+    g = build()
+    assert 2 * g.m >= BITSET_MIN_AVERAGE_DEGREE * g.n
+    dist = floyd_warshall(g)
+    assert [bfs_distances(g, source) for source in range(g.n)] == dist
+    assert g._rows is not None
+    assert first is None or dist[0].count(1) == first
+    if first is None:
+        assert len(connected_components(g)) > 1
+
+
+def test_the_dense_branch_starts_at_the_complete_graph_on_17_vertices():
+    # Average degree 16 needs n >= 17, and at n = 17 only K_17 has it.
+    almost = Graph(17, [(u, v) for u, v in itertools.combinations(range(17), 2) if (u, v) != (3, 9)])
+    for g, dense in [(Graph.complete(16), False), (almost, False), (Graph.complete(17), True)]:
+        assert [bfs_distances(g, source) for source in range(g.n)] == floyd_warshall(g)
+        assert (g._rows is not None) == dense
 
 
 def test_widen_balls_match_floyd_warshall_and_bfs():

@@ -245,15 +245,21 @@ def trapezoid_intersection_graph_pairs(t):
     return Graph(t.n, edges)
 
 
-def random_dense_interval_graph(rng, n):
-    """The intersection graph of n random intervals, drawn as the
-    extend-dense benchmark draws them (left endpoints in 0..4n, lengths in
-    0..2n) and built by pair tests: about 73k edges at n = 600."""
+def random_dense_representation(rng, n, reach=4):
+    """n random intervals with left endpoints in 0..round(reach * n) and
+    lengths in 0..2n; reach = 4 draws them as the extend-dense benchmark
+    does."""
     rows = []
     for _ in range(n):
-        left = rng.randint(0, 4 * n)
+        left = rng.randint(0, round(reach * n))
         rows.append((left, left + rng.randint(0, 2 * n)))
-    return intersection_graph_pairs(IntervalRepresentation(rows))
+    return IntervalRepresentation(rows)
+
+
+def random_dense_interval_graph(rng, n):
+    """The intersection graph of `random_dense_representation(rng, n)`,
+    built by pair tests: about 73k edges at n = 600."""
+    return intersection_graph_pairs(random_dense_representation(rng, n))
 
 
 def first_difference_graphs(expected, actual):
@@ -339,6 +345,34 @@ def assert_chain_matches_the_latest_close_oracle(r, k_max):
         assert endpoint_orders(oracle) == orders
         assert intersection_rows(rep) == intersection_rows(oracle)
         assert endpoint_orders(rep) == orders
+
+
+def ball_witnesses_walk(outer, lefts, rights):
+    """Bit-walk oracle for extension._ball_witnesses: every bit y of
+    outer[x] is visited in ascending id order, and x's witness is the first
+    y with the largest left endpoint above x's right one, or None.  One
+    step per set bit, with no endpoint masks and no bisection."""
+    witness = []
+    for x, right_x in enumerate(rights):
+        best, best_left = None, right_x
+        row = outer[x]
+        while row:
+            low = row & -row
+            y = low.bit_length() - 1
+            # Ids ascend, so a strict test keeps the smallest among ties.
+            if lefts[y] > best_left:
+                best, best_left = y, lefts[y]
+            row ^= low
+        witness.append(best)
+    return witness
+
+
+def distance_rows(dist, k):
+    """Bitmask rows from an all-pairs distance table such as floyd_warshall's:
+    bit y of entry x is set iff y is within distance k of x."""
+    return [
+        sum(1 << y for y, d in enumerate(row) if d is not None and d <= k) for row in dist
+    ]
 
 
 def gap_layout_by_anchor(base, witness, scale):
