@@ -9,12 +9,13 @@ and the witness search that reads its rows on dense graphs:
   source's distances against floyd_warshall;
 - for each n, dense interval representations drawn as the extend-dense
   benchmark draws them, one connected and, from n = 20, one split into
-  blocks beside isolated points: the same distance check, then extend_representation to
-  G^2 from r and to G^3 from that output, whose intersection graphs must
-  equal graph_power_oracle, whose endpoint orders must be r's, and whose
-  witnesses must be those of the bit-walk oracle over Floyd-Warshall rows.
+  blocks beside isolated points: the same distance check, then
+  extend_representation to G^2 from r and to G^3 from that output, whose
+  intersection graphs must equal graph_power_oracle, whose endpoint orders
+  must be r's, and whose witnesses must be those of the bit-walk oracle
+  over Floyd-Warshall rows.
 
-Every graph must reach the bitset branch.  Each seed takes about 10 s, so
+Every graph must reach the bitset branch.  Each seed takes 7-13 s, so
 the script is kept out of pytest's collection.  From the repository root,
 with intpow importable:
 
