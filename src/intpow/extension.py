@@ -87,9 +87,7 @@ def _step(current, k, witnesses):
     original right endpoints, so both endpoint orders survive: one sort of
     (anchor, right, x) over the stretched vertices, the slot restarting
     after each new anchor and stepping at each new right, so equal rights
-    in one gap share a slot.  Every output coordinate lies between scale
-    times the least left and the largest new right, so only those two are
-    checked against the 64-bit range.  Beyond the witnesses, O(n log n).
+    in one gap share a slot.  Beyond the witnesses, O(n log n).
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
@@ -108,10 +106,7 @@ def _step(current, k, witnesses):
             last, slot = right, slot + 1
         new_right[x] = slot
 
-    extended = IntervalRepresentation._spanning(
-        zip((scale * left for left in lefts), new_right),
-        scale * min(lefts, default=0), max(new_right, default=0),
-    )
+    extended = IntervalRepresentation(zip((scale * left for left in lefts), new_right))
     trace = ExtensionTrace(
         k=k, scale=scale, witness=tuple(witness), new_right=tuple(new_right)
     )

@@ -31,19 +31,19 @@ UNREACHABLE = None
 MAX_VERTICES = 2**20
 
 # bfs_distances uses adjacency bitmasks from this average degree up, and a
-# list queue below it.  The bitset BFS does at most one big-int OR per
-# reached vertex where the list BFS takes one step per adjacency entry.  On
-# random interval graphs with n = 150..1600 the two cross at average degree
-# 8..16: the bitset BFS takes 1.3-1.5x the list BFS's time at degree 4,
-# 0.3-0.45x at degree 30 and 0.04-0.12x at degree 110-230 (2-core VM,
-# Python 3.11).
-BITSET_MIN_AVERAGE_DEGREE = 16
+# list queue below it.  The bitset BFS lists each level's frontier in one
+# O(n) pass and ORs at most one row per reached vertex, where the list BFS
+# takes one step per adjacency entry.  On random interval graphs the two
+# cross at average degree about 18 for n = 150, 27 for n = 400, 35 for
+# n = 800 and 50 for n = 1600, and 32 splits that range: the bitset BFS
+# takes 1.4-6.6x the list BFS's time at degree 15-16, 0.5-2.1x at degree
+# 31-33, 0.2-0.7x at degree 57-65 and 0.07-0.27x at degree 100-230 (2-core
+# VM, Python 3.11).
+BITSET_MIN_AVERAGE_DEGREE = 32
 
-# The bitset BFS walks a frontier of fewer than n / _NARROW vertices bit by
-# bit.  It lists a wider one in one O(n) pass of itertools.compress, whose
-# selectors _BIT_SELECTORS maps from the binary digits, and ORs its rows
-# _OR_CHUNK at a time.
-_NARROW = 8
+# The bitset BFS lists a frontier with itertools.compress, whose selectors
+# _BIT_SELECTORS maps from the binary digits, and ORs its rows _OR_CHUNK at
+# a time.
 _OR_CHUNK = 32
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
@@ -173,14 +173,13 @@ def bfs_distances(g, source):
     Returns a list indexed by vertex; vertices in other components get
     UNREACHABLE (None).  Graphs of average degree BITSET_MIN_AVERAGE_DEGREE
     or more are searched level by level over `g.rows`, after one n-bit OR
-    per adjacency entry to build the rows once per graph.  A frontier of
-    fewer than n / _NARROW vertices is walked bit by bit, ORing each row.
-    A wider one is listed from its binary digits in one O(n) pass, and its
-    rows are ORed _OR_CHUNK at a time until their union holds every vertex
-    not yet reached: the next frontier is that union less the reached
-    vertices, so the rows left over cannot change it.  Once every vertex is
-    reached, the last level ORs no rows.  Sparser graphs are searched with
-    a queue over adjacency lists, O(n + m) per call.
+    per adjacency entry to build the rows once per graph.  Each frontier is
+    listed from its binary digits in one O(n) pass, and its rows are ORed
+    _OR_CHUNK at a time until their union holds every vertex not yet
+    reached: the next frontier is that union less the reached vertices, so
+    the rows left over cannot change it.  Once every vertex is reached, the
+    last level ORs no rows.  Sparser graphs are searched with a queue over
+    adjacency lists, O(n + m) per call.
     """
     if not 0 <= source < g.n:
         raise InvalidVertexError(f"vertex {source} out of range for {g.n} vertices")
@@ -194,24 +193,15 @@ def bfs_distances(g, source):
         while frontier:
             level += 1
             unseen ^= frontier
+            digits = format(frontier, f"0{n}b").encode().translate(_BIT_SELECTORS)
+            found = list(itertools.compress(range(n - 1, -1, -1), digits))
+            for v in found:
+                dist[v] = level
             reach = 0
-            if frontier.bit_count() * _NARROW < n:
-                while frontier:
-                    low = frontier & -frontier
-                    v = low.bit_length() - 1
-                    dist[v] = level
-                    if unseen:
-                        reach |= rows[v]
-                    frontier ^= low
-            else:
-                digits = format(frontier, f"0{n}b").encode().translate(_BIT_SELECTORS)
-                found = list(itertools.compress(range(n - 1, -1, -1), digits))
-                for v in found:
-                    dist[v] = level
-                for start in range(0, len(found), _OR_CHUNK):
-                    if reach & unseen == unseen:
-                        break
-                    reach = reduce(or_, map(rows.__getitem__, found[start:start + _OR_CHUNK]), reach)
+            for start in range(0, len(found), _OR_CHUNK):
+                if reach & unseen == unseen:
+                    break
+                reach = reduce(or_, map(rows.__getitem__, found[start:start + _OR_CHUNK]), reach)
             frontier = reach & unseen
         return dist
     adjacency = g._adjacency

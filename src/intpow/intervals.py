@@ -62,18 +62,6 @@ class IntervalRepresentation:
             rows.append((left, right))
         self.intervals = tuple(rows)
 
-    @classmethod
-    def _spanning(cls, intervals, low, high):
-        """The representation of intervals, (left, right) pairs with left <=
-        right and every coordinate in [low, high]; trusted beyond that.
-        Only low and high are checked against the 64-bit range, and when
-        they leave it the checking constructor raises its message."""
-        if low < INT64_MIN or high > INT64_MAX:
-            return cls(intervals)
-        self = cls.__new__(cls)
-        self.intervals = tuple(intervals)
-        return self
-
     @property
     def n(self):
         return len(self.intervals)

@@ -1,21 +1,21 @@
 """Seeded sweep of the dense, bitset branch of bfs_distances and of single
-extend_representation on dense inputs, n = 17..120.
+extend_representation on dense inputs, n = 33..120.
 
-The exhaustive small-n sets never reach average degree 16, where
+The exhaustive small-n sets never reach average degree 32, where
 bfs_distances switches to bitmask rows, so this script checks that branch
 and the witness search that reads its rows on dense graphs:
 
 - for each n, a random graph of dense blocks with isolated vertices: every
   source's distances against floyd_warshall;
 - for each n, dense interval representations drawn as the extend-dense
-  benchmark draws them, one connected and, from n = 20, one split into
+  benchmark draws them, one connected and, from n = 35, one split into
   blocks beside isolated points: the same distance check, then
   extend_representation to G^2 from r and to G^3 from that output, whose
   intersection graphs must equal graph_power_oracle, whose endpoint orders
   must be r's, and whose witnesses must be those of the bit-walk oracle
   over Floyd-Warshall rows.
 
-Every graph must reach the bitset branch.  Each seed takes 7-13 s, so
+Every graph must reach the bitset branch.  Each seed takes 7-9 s, so
 the script is kept out of pytest's collection.  From the repository root,
 with intpow importable:
 
@@ -110,11 +110,11 @@ def main(argv):
         rng = random.Random(seed)
         started = time.perf_counter()
         graphs = 0
-        for n in range(17, 121):
+        for n in range(33, 121):
             check_distances(dense_blocks(rng, n))
             graphs += 1
-            # Below n = 20 no graph with an isolated vertex is dense.
-            for split in (False, True) if n >= 20 else (False,):
+            # Below n = 35 no graph with an isolated vertex is dense.
+            for split in (False, True) if n >= 35 else (False,):
                 g, r = dense_intervals(rng, n, split)
                 try:
                     check_extensions(g, r, check_distances(g))
@@ -122,7 +122,7 @@ def main(argv):
                     print(f"seed {seed}, n={n}: mismatch on {r!r}", file=sys.stderr)
                     raise
                 graphs += 1
-        print(f"seed {seed}: {graphs} dense graphs with n = 17..120, all match "
+        print(f"seed {seed}: {graphs} dense graphs with n = 33..120, all match "
               f"({time.perf_counter() - started:.1f} s)", flush=True)
     return 0
 

@@ -256,25 +256,26 @@ def _star_over(rng, n, edge_prob):
 
 def _fan_out(frontier, late):
     """Source 0 joined to a clique on 1..frontier, so that the first
-    frontier from 0 holds exactly `frontier` vertices.  A frontier this
-    wide is listed from its highest id down and its rows ORed in chunks of
-    32, and the narrow ones after it are walked bit by bit.  With
-    late, vertex frontier + 1 hangs off vertex 1 alone, in the last chunk,
-    and a third level follows, so every chunk must be ORed; without it,
-    the two vertices past the clique hang off vertex frontier, and the
-    first chunk covers every unreached vertex."""
+    frontier from 0 holds exactly `frontier` vertices, listed from its
+    highest id down and its rows ORed in chunks of 32.  A clique on 40
+    vertices past it hangs off vertex frontier, in the first chunk, and
+    keeps the average degree above the bitset cut.  With late, vertex
+    frontier + 1 hangs off vertex 1 alone, in the last chunk, so the first
+    chunk reaches some unreached vertices but not all and every chunk must
+    be ORed; without it, vertex frontier + 1 hangs off vertex frontier too,
+    and the first chunk covers every unreached vertex."""
+    past = frontier + 1
+    tail = range(past + 1, past + 41)
     edges = [(0, v) for v in range(1, frontier + 1)]
     edges += itertools.combinations(range(1, frontier + 1), 2)
-    past, other = frontier + 1, frontier + 2
-    if late:
-        edges += [(1, past), (frontier, other), (past, frontier + 3), (other, frontier + 3)]
-        return Graph(frontier + 4, edges)
-    return Graph(frontier + 3, edges + [(frontier, past), (frontier, other)])
+    edges += itertools.combinations(tail, 2)
+    edges += [(1 if late else frontier, past)] + [(frontier, v) for v in tail]
+    return Graph(past + 41, edges)
 
 
 DENSE_BFS_CASES = {
-    "star": (lambda: _star_over(random.Random(3), 40, 0.5), 39),
-    "complete-17": (lambda: Graph.complete(17), 16),
+    "star": (lambda: _star_over(random.Random(3), 50, 0.9), 49),
+    "complete-33": (lambda: Graph.complete(33), 32),
     "complete-40": (lambda: Graph.complete(40), 39),
     **{
         f"frontier-{frontier}-{'late' if late else 'early'}": (
@@ -284,7 +285,7 @@ DENSE_BFS_CASES = {
     },
     # Two dense blocks and six isolated vertices: no search reaches every
     # vertex, so the early stop never fires.
-    "blocks-and-isolated": (lambda: random_block_graph(random.Random(5), 60, 0.9, 2, 6), None),
+    "blocks-and-isolated": (lambda: random_block_graph(random.Random(5), 90, 0.95, 2, 6), None),
 }
 
 
@@ -302,10 +303,10 @@ def test_dense_bfs_kernel_matches_floyd_warshall(build, first):
         assert len(connected_components(g)) > 1
 
 
-def test_the_dense_branch_starts_at_the_complete_graph_on_17_vertices():
-    # Average degree 16 needs n >= 17, and at n = 17 only K_17 has it.
-    almost = Graph(17, [(u, v) for u, v in itertools.combinations(range(17), 2) if (u, v) != (3, 9)])
-    for g, dense in [(Graph.complete(16), False), (almost, False), (Graph.complete(17), True)]:
+def test_the_dense_branch_starts_at_the_complete_graph_on_33_vertices():
+    # Average degree 32 needs n >= 33, and at n = 33 only K_33 has it.
+    almost = Graph(33, [(u, v) for u, v in itertools.combinations(range(33), 2) if (u, v) != (3, 9)])
+    for g, dense in [(Graph.complete(32), False), (almost, False), (Graph.complete(33), True)]:
         assert [bfs_distances(g, source) for source in range(g.n)] == floyd_warshall(g)
         assert (g._rows is not None) == dense
 
