@@ -31,20 +31,21 @@ UNREACHABLE = None
 MAX_VERTICES = 2**20
 
 # bfs_distances uses adjacency bitmasks from this average degree up, and a
-# list queue below it.  The bitset BFS lists each level's frontier in one
-# O(n) pass and ORs at most one row per reached vertex, where the list BFS
-# takes one step per adjacency entry.  On random interval graphs the two
-# cross at average degree about 18 for n = 150, 27 for n = 400, 35 for
-# n = 800 and 50 for n = 1600, and 32 splits that range: the bitset BFS
-# takes 1.4-6.6x the list BFS's time at degree 15-16, 0.5-2.1x at degree
-# 31-33, 0.2-0.7x at degree 57-65 and 0.07-0.27x at degree 100-230 (2-core
-# VM, Python 3.11).
+# list queue below it.  The bitset BFS takes n/4 table lookups, an OR per
+# nonzero entry and a few O(n) passes per level, where the list BFS takes
+# one step per adjacency entry.  On random interval graphs the two cross at
+# average degree below 16 for n = 150, about 18 for n = 400, 23 for n = 800
+# and 29 for n = 1600: the bitset BFS takes 0.7-3.1x the list BFS's time at
+# degree 16, 0.21-0.89x at degree 32-33, 0.09-0.25x at degree 60 and
+# 0.02-0.04x at degree 100-151 (2-core VM, Python 3.11).  A lower cut would
+# gain on such graphs, but no benchmark workload draws graphs near it.
 BITSET_MIN_AVERAGE_DEGREE = 32
 
-# The bitset BFS lists a frontier with itertools.compress, whose selectors
-# _BIT_SELECTORS maps from the binary digits, and ORs its rows _OR_CHUNK at
-# a time.
-_OR_CHUNK = 32
+# The bitset BFS reads each frontier as hex digits, one per block of four
+# vertices, and lists the few vertices it must write one by one with
+# itertools.compress, whose selectors _BIT_SELECTORS maps from the binary
+# digits.
+_HEX_DIGITS = "0123456789abcdef"
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -57,10 +58,13 @@ class Graph:
     bitmasks, the form in which the package compares adjacency; it is kept
     once built and ignored by equality and hashing.  Powers and the
     intersection graphs of interval and of trapezoid representations are
-    computed as rows and built by `_from_rows`.
+    computed as rows and built by `_from_rows`.  `_tables`, also ignored by
+    equality and hashing, holds the bitset BFS's block tables
+    (`_block_tables`) from the graph's first dense search on: about four
+    times the memory of `rows`, 237 KiB against 61 KiB at n = 600.
     """
 
-    __slots__ = ("n", "_adjacency", "_m", "_rows")
+    __slots__ = ("n", "_adjacency", "_m", "_rows", "_tables")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -111,6 +115,7 @@ class Graph:
         self._adjacency = tuple(adjacency)
         self._m = sum(map(len, adjacency)) // 2
         self._rows = rows
+        self._tables = None
         return self
 
     @classmethod
@@ -173,37 +178,53 @@ def bfs_distances(g, source):
     Returns a list indexed by vertex; vertices in other components get
     UNREACHABLE (None).  Graphs of average degree BITSET_MIN_AVERAGE_DEGREE
     or more are searched level by level over `g.rows`, after one n-bit OR
-    per adjacency entry to build the rows once per graph.  Each frontier is
-    listed from its binary digits in one O(n) pass, and its rows are ORed
-    _OR_CHUNK at a time until their union holds every vertex not yet
-    reached: the next frontier is that union less the reached vertices, so
-    the rows left over cannot change it.  Once every vertex is reached, the
-    last level ORs no rows.  Sparser graphs are searched with a queue over
+    per adjacency entry to build the rows once per graph.  Each next
+    frontier is the union of the current one's rows less the reached
+    vertices, found by one lookup per hex digit of the frontier in
+    `_block_tables` and an OR of the nonzero entries, with no vertex
+    listed; once every vertex is reached, the search stops.  Each level's
+    vertices are recorded as that level's byte, the frontier's binary
+    digits translated, in one int whose bytes become the distances at the
+    end.
+    Only vertices past level 255 and unreachable ones are listed and
+    written one by one.  Sparser graphs are searched with a queue over
     adjacency lists, O(n + m) per call.
     """
     if not 0 <= source < g.n:
         raise InvalidVertexError(f"vertex {source} out of range for {g.n} vertices")
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
     if 2 * g.m >= BITSET_MIN_AVERAGE_DEGREE * g.n:
         n, rows = g.n, g.rows
+        if g._tables is None:
+            g._tables = _block_tables(rows)
+        tables = g._tables
         unseen = ((1 << n) - 1) ^ (1 << source)
         frontier = rows[source] & unseen
+        levels = 0  # byte v is the level of v, up to 255
+        deep = []
         level = 0
         while frontier:
             level += 1
             unseen ^= frontier
-            digits = format(frontier, f"0{n}b").encode().translate(_BIT_SELECTORS)
-            found = list(itertools.compress(range(n - 1, -1, -1), digits))
-            for v in found:
+            if level < 256:
+                marks = bytes.maketrans(b"01", bytes((0, level)))
+                levels |= int.from_bytes(format(frontier, f"0{n}b").encode().translate(marks), "big")
+            else:
+                deep.append((level, frontier))
+            if not unseen:
+                break
+            blocks = format(frontier, f"0{len(tables)}x")
+            entries = filter(None, map(dict.__getitem__, tables, blocks))
+            frontier = reduce(or_, entries, 0) & unseen
+        dist = list(levels.to_bytes(n, "little"))
+        for level, frontier in deep:
+            for v in _vertices(frontier, n):
                 dist[v] = level
-            reach = 0
-            for start in range(0, len(found), _OR_CHUNK):
-                if reach & unseen == unseen:
-                    break
-                reach = reduce(or_, map(rows.__getitem__, found[start:start + _OR_CHUNK]), reach)
-            frontier = reach & unseen
+        if unseen:
+            for v in _vertices(unseen, n):
+                dist[v] = UNREACHABLE
         return dist
+    dist = [UNREACHABLE] * g.n
+    dist[source] = 0
     adjacency = g._adjacency
     queue = [source]
     for u in queue:
@@ -213,6 +234,29 @@ def bfs_distances(g, source):
                 dist[w] = d
                 queue.append(w)
     return dist
+
+
+def _block_tables(rows):
+    """The bitset BFS's lookup tables (the Method of Four Russians): one
+    dict per block of four vertices, the highest block first, mapping each
+    hex digit d to the union of the rows of the block's vertices named by
+    the bits of d.  The one-vertex entries are the rows themselves, so a
+    block costs 11 ORs; a last, partial block has entries only for the
+    digits its vertices can make."""
+    tables = []
+    for base in range(0, len(rows), 4):
+        entries = [0]
+        for row in rows[base:base + 4]:
+            entries += [row] + [entry | row for entry in entries[1:]]
+        tables.append(dict(zip(_HEX_DIGITS, entries)))
+    tables.reverse()
+    return tables
+
+
+def _vertices(mask, n):
+    """The vertices of an n-bit mask, from the highest down."""
+    digits = format(mask, f"0{n}b").encode().translate(_BIT_SELECTORS)
+    return itertools.compress(range(n - 1, -1, -1), digits)
 
 
 def widen_balls(g, balls):
@@ -235,15 +279,23 @@ def widen_balls(g, balls):
 def _power_rows(g, k):
     """Closed rows of the k-th power of g: bit y of the row of x is set iff
     y is within distance k of x.  One bfs_distances call per vertex, whose
-    reversed distances are packed into an int as binary digits.
+    distances are packed into an int as binary digits: as bytes translated
+    by a table of 256 digits and reversed, or, for a list that holds
+    UNREACHABLE or a distance past 255, joined from a table over 0..n-1.
     """
+    near = b"".join(b"1" if d <= k else b"0" for d in range(256))
     # Distances never exceed n - 1, so a table over 0..n-1 serves any k.
     digit = {d: "1" if d <= k else "0" for d in range(g.n)}
     digit[UNREACHABLE] = "0"
-    return [
-        int("".join(map(digit.__getitem__, reversed(bfs_distances(g, x)))), 2)
-        for x in range(g.n)
-    ]
+    rows = []
+    for x in range(g.n):
+        dist = bfs_distances(g, x)
+        try:
+            digits = bytes(dist).translate(near)[::-1]
+        except (TypeError, ValueError):
+            digits = "".join(map(digit.__getitem__, reversed(dist)))
+        rows.append(int(digits, 2))
+    return rows
 
 
 def graph_power(g, k):

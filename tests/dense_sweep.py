@@ -6,17 +6,21 @@ bfs_distances switches to bitmask rows, so this script checks that branch
 and the witness search that reads its rows on dense graphs:
 
 - for each n, a random graph of dense blocks with isolated vertices: every
-  source's distances against floyd_warshall;
+  source's distances against floyd_warshall, and `_power_rows` at
+  k = 1, 2, 3 against the rows of those distances;
 - for each n, dense interval representations drawn as the extend-dense
   benchmark draws them, one connected and, from n = 35, one split into
   blocks beside isolated points: the same distance check, then
   extend_representation to G^2 from r and to G^3 from that output, whose
   intersection graphs must equal graph_power_oracle, whose endpoint orders
   must be r's, and whose witnesses must be those of the bit-walk oracle
-  over Floyd-Warshall rows.
+  over Floyd-Warshall rows;
+- once per seed, a path of 262 dense cliques K34 with 3 isolated vertices
+  (n = 8911, levels up to 523, past the 255 of a byte), searched from two
+  random sources against a queue BFS.
 
-Every graph must reach the bitset branch.  Each seed takes 7-9 s, so
-the script is kept out of pytest's collection.  From the repository root,
+Every graph must reach the bitset branch.  Each seed takes about 10 s,
+so the script is kept out of pytest's collection.  From the repository root,
 with intpow importable:
 
     python tests/dense_sweep.py [SEED ...]
@@ -38,11 +42,13 @@ from intpow import (
     intersection_graph,
     normalize,
 )
-from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE
+from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE, _power_rows
 from testutil import (
     ball_witnesses_walk,
+    clique_path,
     distance_rows,
     floyd_warshall,
+    queue_distances,
     random_block_graph,
     random_dense_representation,
 )
@@ -92,6 +98,17 @@ def check_distances(g):
     return dist
 
 
+def check_power_rows(g, dist):
+    for k in (1, 2, 3):
+        assert _power_rows(g, k) == distance_rows(dist, k), (g, k)
+
+
+def check_clique_path(rng, g):
+    assert dense(g), g
+    for source in rng.sample(range(g.n), 2):
+        assert bfs_distances(g, source) == queue_distances(g, source), source
+
+
 def check_extensions(g, r, dist):
     orders = endpoint_orders(r)
     current = r
@@ -106,12 +123,14 @@ def check_extensions(g, r, dist):
 
 
 def main(argv):
+    path = clique_path(262, 34, 3)
     for seed in [int(arg) for arg in argv] or [0, 1, 2]:
         rng = random.Random(seed)
         started = time.perf_counter()
         graphs = 0
         for n in range(33, 121):
-            check_distances(dense_blocks(rng, n))
+            g = dense_blocks(rng, n)
+            check_power_rows(g, check_distances(g))
             graphs += 1
             # Below n = 35 no graph with an isolated vertex is dense.
             for split in (False, True) if n >= 35 else (False,):
@@ -122,7 +141,8 @@ def main(argv):
                     print(f"seed {seed}, n={n}: mismatch on {r!r}", file=sys.stderr)
                     raise
                 graphs += 1
-        print(f"seed {seed}: {graphs} dense graphs with n = 33..120, all match "
+        check_clique_path(rng, path)
+        print(f"seed {seed}: {graphs} dense graphs with n = 33..120 and a clique path, all match "
               f"({time.perf_counter() - started:.1f} s)", flush=True)
     return 0
 

@@ -22,12 +22,14 @@ from intpow import (
     parse_graph,
     widen_balls,
 )
-from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE, _power_rows
+from intpow.graphs import BITSET_MIN_AVERAGE_DEGREE, _block_tables, _power_rows
 from testutil import (
     ReferenceGraph,
+    clique_path,
     edge_lists,
     floyd_warshall,
     graphs,
+    queue_distances,
     random_block_graph,
     random_dense_interval_graph,
     random_graph,
@@ -256,14 +258,12 @@ def _star_over(rng, n, edge_prob):
 
 def _fan_out(frontier, late):
     """Source 0 joined to a clique on 1..frontier, so that the first
-    frontier from 0 holds exactly `frontier` vertices, listed from its
-    highest id down and its rows ORed in chunks of 32.  A clique on 40
-    vertices past it hangs off vertex frontier, in the first chunk, and
-    keeps the average degree above the bitset cut.  With late, vertex
-    frontier + 1 hangs off vertex 1 alone, in the last chunk, so the first
-    chunk reaches some unreached vertices but not all and every chunk must
-    be ORed; without it, vertex frontier + 1 hangs off vertex frontier too,
-    and the first chunk covers every unreached vertex."""
+    frontier from 0 holds exactly `frontier` vertices, spread over 8 to 17
+    hex blocks.  A clique on 40 vertices past it hangs off vertex frontier
+    and keeps the average degree above the bitset cut.  With late, vertex
+    frontier + 1 hangs off vertex 1 alone, in the lowest block, and is
+    reached only through that block's entry; without it, vertex
+    frontier + 1 hangs off vertex frontier too."""
     past = frontier + 1
     tail = range(past + 1, past + 41)
     edges = [(0, v) for v in range(1, frontier + 1)]
@@ -271,6 +271,26 @@ def _fan_out(frontier, late):
     edges += itertools.combinations(tail, 2)
     edges += [(1 if late else frontier, past)] + [(frontier, v) for v in tail]
     return Graph(past + 41, edges)
+
+
+# Vertex counts around the bitset cut and twice it; all but 36 and 68
+# leave the last hex block partial.
+_BLOCK_EDGE_SIZES = (34, 35, 36, 65, 66, 67, 68)
+
+
+def _near_complete(n):
+    """K_n less the edges (i, n - 1 - i) for i < r, r as large as leaves
+    the average degree at the bitset cut or above."""
+    r = min(n // 2, n * (n - 1 - BITSET_MIN_AVERAGE_DEGREE) // 2)
+    missing = {(i, n - 1 - i) for i in range(r)}
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if e not in missing])
+
+
+def _relabelled_blocks(rng, n, blocks, isolated):
+    g = random_block_graph(rng, n, 0.95, blocks, isolated)
+    permutation = list(range(n))
+    rng.shuffle(permutation)
+    return relabel_graph(g, permutation)
 
 
 DENSE_BFS_CASES = {
@@ -286,21 +306,106 @@ DENSE_BFS_CASES = {
     # Two dense blocks and six isolated vertices: no search reaches every
     # vertex, so the early stop never fires.
     "blocks-and-isolated": (lambda: random_block_graph(random.Random(5), 90, 0.95, 2, 6), None),
+    # Partial last hex blocks (n not a multiple of 4) and full ones; the
+    # near-complete graphs lack the edges (i, n - 1 - i), so most vertices
+    # have one vertex at distance 2, often in the last block.
+    **{f"complete-{n}": (lambda n=n: Graph.complete(n), n - 1) for n in _BLOCK_EDGE_SIZES},
+    **{f"near-complete-{n}": (lambda n=n: _near_complete(n), n - 2) for n in _BLOCK_EDGE_SIZES},
+    # Three dense blocks, nine isolated vertices and n = 133, relabelled so
+    # that the unreachable vertices and isolated sources fall in many blocks.
+    "blocks-and-isolated-relabelled": (
+        lambda: _relabelled_blocks(random.Random(7), 133, 3, 9), None
+    ),
 }
 
 
 @pytest.mark.parametrize("build, first", DENSE_BFS_CASES.values(), ids=DENSE_BFS_CASES)
 def test_dense_bfs_kernel_matches_floyd_warshall(build, first):
-    # Every source of graphs built for the bitset branch's chunked ORs and
-    # early stops; first is the size of the first frontier from vertex 0.
+    # Every source of graphs built for the bitset branch's block lookups,
+    # partial blocks and early stops; first is the size of the first
+    # frontier from vertex 0, None where some vertices are isolated.
     g = build()
     assert 2 * g.m >= BITSET_MIN_AVERAGE_DEGREE * g.n
     dist = floyd_warshall(g)
     assert [bfs_distances(g, source) for source in range(g.n)] == dist
-    assert g._rows is not None
+    assert g._rows is not None and g._tables is not None
     assert first is None or dist[0].count(1) == first
     if first is None:
         assert len(connected_components(g)) > 1
+        assert not all(g.neighbors(v) for v in range(g.n))
+
+
+def test_dense_bfs_passes_level_255_on_a_clique_path():
+    # 262 cliques K34 in a row and 3 isolated vertices, n = 8911: levels
+    # run to 523, past the 255 a byte holds, from the ends, and a search
+    # from an isolated vertex reaches nothing.
+    g = clique_path(262, 34, 3)
+    assert 2 * g.m >= BITSET_MIN_AVERAGE_DEGREE * g.n
+    for source in (0, 4500, 262 * 34 - 1, g.n - 1):
+        assert bfs_distances(g, source) == queue_distances(g, source), source
+    assert g._tables is not None
+    first = [2 * i + (v > 0) for i in range(262) for v in range(34)] + [UNREACHABLE] * 3
+    assert bfs_distances(g, 0) == first
+    assert max(first[:-3]) == 523
+
+
+def test_block_tables_hold_the_union_of_each_subset_of_a_block():
+    # n = 1..9 random rows, not only a graph's: entry d of block b is the
+    # OR of rows 4b + i over the bits i of d, and a partial block has keys
+    # only for the digits its rows can make.
+    rng = random.Random(41)
+    for n in range(1, 10):
+        for _ in range(6):
+            rows = [rng.getrandbits(n + 8) for _ in range(n)]
+            tables = _block_tables(rows)
+            assert len(tables) == (n + 3) // 4
+            for b, table in enumerate(reversed(tables)):
+                block = rows[4 * b:4 * b + 4]
+                assert set(table) == {format(d, "x") for d in range(1 << len(block))}
+                for d in range(1 << len(block)):
+                    union = 0
+                    for i, row in enumerate(block):
+                        if d >> i & 1:
+                            union |= row
+                    assert table[format(d, "x")] == union
+
+
+def test_block_tables_are_built_once_per_graph(monkeypatch):
+    builds = []
+
+    def counting(rows):
+        builds.append(len(rows))
+        return _block_tables(rows)
+
+    monkeypatch.setattr("intpow.graphs._block_tables", counting)
+    g = random_block_graph(random.Random(43), 70, 0.95, 1, 2)
+    assert [bfs_distances(g, source) for source in range(g.n)] == floyd_warshall(g)
+    assert builds == [70]
+    assert _power_rows(g, 2) == list(graph_power_oracle(g, 2).rows)
+    assert builds == [70]
+
+
+def test_block_tables_leave_equality_and_hash_alone():
+    searched, fresh = Graph.complete(40), Graph.complete(40)
+    bfs_distances(searched, 0)
+    assert searched._tables is not None and fresh._tables is None
+    assert searched == fresh and hash(searched) == hash(fresh)
+    rebuilt = Graph._from_rows(fresh.rows)
+    assert rebuilt._tables is None and rebuilt == searched and hash(rebuilt) == hash(searched)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_rows_pack_bytes_and_digits_alike(k):
+    # A connected dense graph packs every list as bytes; a dense graph with
+    # isolated vertices (UNREACHABLE) and the path on 300 vertices
+    # (distances past 255) send lists to the digit join.
+    connected = random_block_graph(random.Random(47), 60, 0.9, 1, 0)
+    split = random_block_graph(random.Random(53), 90, 0.95, 2, 6)
+    path = Graph.path(300)
+    assert UNREACHABLE in bfs_distances(split, 0) and max(bfs_distances(path, 0)) == 299
+    assert 2 * split.m >= BITSET_MIN_AVERAGE_DEGREE * split.n
+    for g in (connected, split, path):
+        assert _power_rows(g, k) == list(graph_power_oracle(g, k).rows), (g, k)
 
 
 def test_the_dense_branch_starts_at_the_complete_graph_on_33_vertices():

@@ -5,6 +5,7 @@ sees the same instances; the hypothesis strategies mirror them for the
 property tests.
 """
 
+import collections
 import contextlib
 import itertools
 
@@ -215,6 +216,19 @@ def random_block_graph(rng, n, edge_prob, blocks=1, isolated=0):
         if part[u] == part[v] and rng.random() < edge_prob
     ]
     return Graph(n, edges)
+
+
+def clique_path(cliques, size, isolated=0):
+    """`cliques` cliques of `size` vertices each, in id order, the last
+    vertex of each joined to the first of the next, then `isolated`
+    vertices with no edges.  From vertex 0, the first vertex of clique i is
+    at distance 2i and the others at 2i + 1."""
+    edges = []
+    for base in range(0, cliques * size, size):
+        edges += itertools.combinations(range(base, base + size), 2)
+        if base:
+            edges.append((base - 1, base))
+    return Graph(cliques * size + isolated, edges)
 
 
 def intersection_graph_pairs(r):
@@ -706,6 +720,20 @@ def reference_reader():
 def relabel_graph(g, permutation):
     """permutation[v] is the new id of v."""
     return Graph(g.n, [(permutation[u], permutation[v]) for u, v in g.edge_set])
+
+
+def queue_distances(g, source):
+    """Independent single-source distance oracle (None off-component): a
+    queue over `neighbors`, for graphs too large for floyd_warshall."""
+    dist = {source: 0}
+    queue = collections.deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return [dist.get(v) for v in range(g.n)]
 
 
 def floyd_warshall(g):
