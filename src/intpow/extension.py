@@ -14,7 +14,7 @@ from .errors import (
     VertexSetMismatchError,
 )
 from .graphs import _power_rows
-from .intervals import IntervalRepresentation, _later_masks, intersection_rows, normalize
+from .intervals import IntervalRepresentation, intersection_rows, normalize
 
 __all__ = [
     "ExtensionTrace",
@@ -53,8 +53,8 @@ def extend_representation(g, k, r):
     endpoint orders survive.
 
     The input is checked once, against rows of the (k-1)-th power, and the
-    step reads only rows of the k-th; each set of rows is built from n BFS
-    runs.
+    candidates come from one sweep of the rows of the k-th
+    (`_ball_candidates`); each set of rows is built from n BFS runs.
 
     Returns the new representation and an ExtensionTrace.
     """
@@ -62,7 +62,8 @@ def extend_representation(g, k, r):
         raise InvalidKError(f"extension requires k >= 2, got {k}")
     _check_size(g, r)
     _check_realizes(r, _power_rows(g, k - 1), k - 1)
-    return _step(r, k, partial(_ball_witnesses, _power_rows(g, k)))
+    lefts = [left for left, _ in r.intervals]
+    return _step(r, k, _ball_candidates(_power_rows(g, k), lefts))
 
 
 def _check_size(g, r, name="representation"):
@@ -72,27 +73,30 @@ def _check_size(g, r, name="representation"):
         raise VertexSetMismatchError(f"graph has {g.n} vertices, {name} has {r.n}")
 
 
-def _step(current, k, witnesses):
+def _step(current, k, candidates):
     """One extension step: from a representation that realizes G^(k-1),
     one of G^k, and its trace.
 
-    witnesses(lefts, rights) reads the normalized input as two columns,
-    built once, and returns x's witness per vertex: the vertex exactly k
-    away that opens after x closes with the largest left endpoint, the
-    smallest id among ties, or None.  `_ball_witnesses` takes it from the
-    rows of G^k, `_span_witnesses` from one candidate per vertex.  The
-    normalized input is scaled by n + 1, and the right end of every x with
-    a witness moves into the gap after the witness's left end.  Vertices
-    stretched into the same gap are laid out by the order of their
-    original right endpoints, so both endpoint orders survive: one sort of
-    (anchor, right, x) over the stretched vertices, the slot restarting
-    after each new anchor and stepping at each new right, so equal rights
-    in one gap share a slot.  Beyond the witnesses, O(n log n).
+    candidates holds one vertex per x, in id order: the vertex of B_k(x)
+    with the largest left endpoint, the smallest id among ties.
+    `_ball_candidates` takes it from the rows of G^k, the chain from
+    `_span_tables`.  It is x's witness when it opens after x closes, and x
+    has none otherwise: a vertex within k - 1 meets x, so a vertex of
+    B_k(x) that opens after x closes is exactly k away, and if the one
+    opening last does not, none does.  The normalized input, read as two
+    columns built once, is scaled by n + 1, and the right end of every x
+    with a witness moves into the gap after the witness's left end.
+    Vertices stretched into the same gap are laid out by the order of
+    their original right endpoints, so both endpoint orders survive: one
+    sort of (anchor, right, x) over the stretched vertices, the slot
+    restarting after each new anchor and stepping at each new right, so
+    equal rights in one gap share a slot.  Beyond the candidates,
+    O(n log n).
     """
     base = normalize(current)
     lefts = [left for left, _ in base.intervals]
     rights = [right for _, right in base.intervals]
-    witness = witnesses(lefts, rights)
+    witness = [c if lefts[c] > right else None for c, right in zip(candidates, rights)]
 
     scale = len(lefts) + 1
     new_right = [scale * right for right in rights]
@@ -113,48 +117,28 @@ def _step(current, k, witnesses):
     return extended, trace
 
 
-def _ball_witnesses(outer, lefts, rights):
-    """Witnesses from the rows outer of G^k: x's is the vertex of outer[x]
-    that opens after x closes with the largest left endpoint, the smallest
-    id among ties, or None if no vertex of outer[x] opens there.  These are
-    the vertices of the sphere, exactly k away, that open right of x: a
-    vertex within k - 1 meets x, so it opens at or before x closes, and a
-    sphere vertex opening right of x is disjoint from x, so it opens after
-    x closes.
+def _ball_candidates(outer, lefts):
+    """x's candidate from the rows outer of G^k: the vertex of outer[x]
+    with the largest left end, the smallest id among ties.  Only the weak
+    order of lefts counts, so r's own lefts stand for the normalized ones.
 
-    `_later_masks` over the lefts gives masks[i], the vertices past the i
-    smallest lefts, and later, the vertices of outer[x] that open after x
-    closes, is outer[x] ANDed with one of them.  The largest i with
-    later & masks[i] nonzero is found by bisection: no vertex of later opens
-    past sorted_lefts[i], so that is the witness's left end.  later ANDed
-    with the mask at the start of that left's tie run holds the vertices of
-    later that open there, and its lowest bit is the smallest id.  O(log n)
-    n-bit ANDs per vertex."""
-    sorted_lefts, masks = _later_masks(lefts)
-    witness = []
-    for x, right_x in enumerate(rights):
-        low = bisect_right(sorted_lefts, right_x)
-        later = outer[x] & masks[low]
-        if not later:
-            witness.append(None)
-            continue
-        high = len(lefts)
-        while high - low > 1:
-            mid = (low + high) // 2
-            if later & masks[mid]:
-                low = mid
-            else:
-                high = mid
-        later &= masks[bisect_left(sorted_lefts, sorted_lefts[low])]
-        witness.append((later & -later).bit_length() - 1)
-    return witness
-
-
-def _span_witnesses(candidates, lefts, rights):
-    """Witnesses from one candidate per vertex, as `_span_tables` gives
-    them: x's candidate is its witness when it opens after x closes, and
-    x has none otherwise."""
-    return [c if lefts[c] > right else None for c, right in zip(candidates, rights)]
+    One sweep, with no bisection: the vertices are visited by descending
+    left end, the smallest id first among ties (the sort is stable), and
+    each becomes the candidate of the vertices of its own row that no
+    earlier vertex took.  That is exact only because the rows are
+    symmetric, so the row of v holds every x whose row holds v, and each
+    row holds its own vertex, so every x is taken; the rows of a power of
+    a graph are both.  O(n) n-bit ANDs, and one bit read per vertex."""
+    candidates = [None] * len(lefts)
+    untaken = (1 << len(lefts)) - 1
+    for v in sorted(range(len(lefts)), key=lefts.__getitem__, reverse=True):
+        taken = outer[v] & untaken
+        untaken ^= taken
+        while taken:
+            low = taken & -taken
+            candidates[low.bit_length() - 1] = v
+            taken ^= low
+    return candidates
 
 
 def _span_tables(r):
@@ -170,11 +154,11 @@ def _span_tables(r):
     vertices whose left end is the largest one at or before z's right end.
 
     With z the j-th hop of x, every vertex of B_(j+1)(x) opens at or before
-    R_j(x), so cand[z] is the one of B_(j+1)(x) with the largest left end,
-    the smallest id among ties.  The chain member realizing G^j keeps r's
-    endpoint orders, ties included.  So there, if cand[z] opens after x
-    closes, it is exactly j + 1 away and x's witness for step j + 1; if it
-    does not, no vertex of B_(j+1)(x) does, and x has no witness.
+    R_j(x), the right end of z, and a vertex that opens between z's ends
+    meets z, so it lies in B_(j+1)(x).  So cand[z] is the one of B_(j+1)(x)
+    with the largest left end, the smallest id among ties, in r and in the
+    chain member realizing G^j, which keeps r's endpoint orders, ties
+    included: x's candidate for step j + 1, as `_step` takes it.
     """
     lefts = [left for left, _ in r.intervals]
     rights = [right for _, right in r.intervals]
@@ -271,8 +255,8 @@ def _chain(g, r, k_max):
 
     far[x] is a vertex whose right end is R_(k-1)(x), the right end of the
     span of the intervals within k - 1 of x in r, one `hop` per step, and
-    cand[far[x]] is x's candidate witness for step k: two table reads per
-    vertex, with no bisection and no ball.
+    cand[far[x]] is x's candidate for step k, the one `_step` takes: two
+    table reads per vertex, with no bisection and no ball.
     """
     if k_max < 2:
         raise InvalidKError(f"iteration requires k_max >= 2, got {k_max}")
@@ -284,7 +268,7 @@ def _chain(g, r, k_max):
     current = r
     for k in range(2, k_max + 1):
         far = list(map(hop.__getitem__, far))
-        current, trace = _step(current, k, partial(_span_witnesses, map(cand.__getitem__, far)))
+        current, trace = _step(current, k, map(cand.__getitem__, far))
         yield k, current, trace
 
 

@@ -240,18 +240,22 @@ def test_witness_is_the_rightmost_then_smallest_id():
 
 
 def test_ball_witnesses_match_the_bit_walk():
-    """_ball_witnesses, which bisects over endpoint masks, against the walk
-    over every bit of outer[x]: n = 0 and 1, raw columns with tied lefts
-    and lefts on rights (touching intervals) under random masks, rows of
-    G^2 and G^3 with normalized columns, and the extend-dense generator at
-    n = 150.  Both empty and non-empty later sets must occur."""
+    """The witnesses `_step` keeps from _ball_candidates, which sweeps the
+    rows once by descending left end, against the walk over every bit of
+    outer[x]: n = 0 and 1, raw columns with tied lefts and lefts on rights
+    (touching intervals) under random symmetric masks, rows of G^2 and G^3
+    with normalized columns, and the extend-dense generator at n = 150.
+    Both empty and non-empty later sets must occur."""
     rng = random.Random(61)
     cases = [([], [], []), ([1], [0], [0]), ([1], [0], [3])]
     for _ in range(300):
         n = rng.randint(2, 12)
         lefts = [rng.randint(0, 6) for _ in range(n)]
         rights = [left + rng.randint(0, 3) for left in lefts]
-        cases.append(([rng.getrandbits(n) | 1 << x for x in range(n)], lefts, rights))
+        masks = [rng.getrandbits(n) | 1 << x for x in range(n)]
+        # The sweep requires symmetric rows, as every power of a graph has.
+        transpose = [sum((masks[y] >> x & 1) << y for y in range(n)) for x in range(n)]
+        cases.append(([a | b for a, b in zip(masks, transpose)], lefts, rights))
     for r in [random_representation(rng, max_n=16, coord_max=10) for _ in range(100)] + [
         random_dense_representation(random.Random(seed), 150) for seed in range(3)
     ]:
@@ -263,12 +267,40 @@ def test_ball_witnesses_match_the_bit_walk():
     ties = touching = found = missing = 0
     for outer, lefts, rights in cases:
         expected = ball_witnesses_walk(outer, lefts, rights)
-        assert extension._ball_witnesses(outer, lefts, rights) == expected
+        candidates = extension._ball_candidates(outer, lefts)
+        assert [c if lefts[c] > right else None for c, right in zip(candidates, rights)] == expected
         ties += len(set(lefts)) < len(lefts)
         touching += bool(set(lefts) & set(rights))
         found += sum(w is not None for w in expected)
         missing += expected.count(None)
     assert ties > 100 and touching > 100 and found > 1000 and missing > 1000
+
+
+def test_ball_candidates_match_the_chain_candidates():
+    """At every step k of the chain, the candidates of one sweep of the rows
+    of G^k over the lefts of member k - 1 equal the chain's cand[far[x]]
+    for every vertex, those without a witness included: every strict start
+    with n <= 5 and every ranked start with n <= 3, chained to G^(n-1),
+    and random tied starts with n <= 40, G being r's intersection graph."""
+    rng = random.Random(71)
+    cases = [(r, max(2, n - 1)) for n in range(6) for r in strict_representations(n)]
+    cases += [(r, max(2, n - 1)) for n in range(4) for r in ranked_representations(n)]
+    for i in range(1200):
+        r = random_representation(rng, max_n=40, coord_max=rng.choice([10, 30]))
+        cases.append((r, 2 + i % 5))
+    steps = 0
+    for r, k_max in cases:
+        g = intersection_graph(r)
+        hop, cand = extension._span_tables(r)
+        far = range(r.n)
+        previous = r
+        for k, rep, _ in iterate_powers(g, r, k_max):
+            far = [hop[f] for f in far]
+            lefts = [left for left, _ in previous.intervals]
+            assert extension._ball_candidates(_power_rows(g, k), lefts) == [cand[f] for f in far]
+            previous = rep
+            steps += 1
+    assert steps > 6000
 
 
 def _per_anchor_step(dist, k, previous):
@@ -488,7 +520,7 @@ def test_iterate_powers_builds_no_rows(monkeypatch):
         raise AssertionError("the chain built rows")
 
     for target in ("intpow.extension.intersection_rows", "intpow.extension._power_rows",
-                   "intpow.extension._later_masks", "intpow.graphs.widen_balls",
+                   "intpow.extension._ball_candidates", "intpow.graphs.widen_balls",
                    "intpow.graphs.bfs_distances"):
         monkeypatch.setattr(target, refuse)
     for (r, k_max), chain in zip(cases, expected):

@@ -287,10 +287,10 @@ def first_difference_graphs(expected, actual):
 def iterate_powers_chained(g, r, k_max):
     """Chain oracle for iterate_powers: one extend_representation call per
     k, each checking its input against rows of G^(k-1) and taking its
-    witnesses from rows of G^k, both packed from BFS distances.
-    iterate_powers checks r without rows and takes its witnesses from
-    hops along the spans of r, so the two are independent witness routes
-    that share only the gap layout; the witness rule itself is checked
+    candidates from rows of G^k, both packed from BFS distances.
+    iterate_powers checks r without rows and takes its candidates from
+    hops along the spans of r, so the two are independent candidate
+    routes that share only `_step`; the witness rule itself is checked
     against Floyd-Warshall distances by
     test_witness_is_the_rightmost_then_smallest_id."""
     if k_max < 2:
@@ -362,10 +362,12 @@ def assert_chain_matches_the_latest_close_oracle(r, k_max):
 
 
 def ball_witnesses_walk(outer, lefts, rights):
-    """Bit-walk oracle for extension._ball_witnesses: every bit y of
-    outer[x] is visited in ascending id order, and x's witness is the first
-    y with the largest left endpoint above x's right one, or None.  One
-    step per set bit, with no endpoint masks and no bisection."""
+    """Bit-walk oracle for the witnesses that extension._step keeps from
+    extension._ball_candidates: every bit y of outer[x] is visited in
+    ascending id order, and x's witness is the first y with the largest
+    left endpoint above x's right one, or None.  One step per set bit,
+    with no sort and no sweep, and it holds for rows that are not
+    symmetric."""
     witness = []
     for x, right_x in enumerate(rights):
         best, best_left = None, right_x
